@@ -24,12 +24,11 @@ BasicBlock::terminator()
     return ops_.back();
 }
 
-std::vector<BlockId>
+const std::vector<BlockId> &
 BasicBlock::successors() const
 {
-    if (!hasTerminator())
-        return {};
-    return terminator().targets;
+    static const std::vector<BlockId> kNone;
+    return hasTerminator() ? terminator().targets : kNone;
 }
 
 size_t

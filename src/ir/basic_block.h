@@ -39,8 +39,9 @@ class BasicBlock
     const Op &terminator() const;
     Op &terminator();
 
-    /** @return successor block ids (terminator targets, in order). */
-    std::vector<BlockId> successors() const;
+    /** @return successor block ids (terminator targets, in order;
+     * empty before a terminator is appended). */
+    const std::vector<BlockId> &successors() const;
 
     /** @return predecessor ids (maintained by Function). */
     const std::vector<BlockId> &preds() const { return preds_; }

@@ -17,7 +17,8 @@ Function::createBlock()
     const BlockId id = static_cast<BlockId>(blocks_.size());
     blocks_.push_back(std::make_unique<BasicBlock>(id));
     blocks_.back()->original_id_ = id;
-    preds_valid_ = false;
+    // No block targets a new id, and it has no terminator yet: every
+    // predecessor list stays as it was.
     return id;
 }
 
@@ -26,30 +27,28 @@ Function::cloneBlock(BlockId src)
 {
     const BlockId id = createBlock();
     BasicBlock &dst_block = *blocks_[id];
-    const BasicBlock &src_block = block(src);
+    BasicBlock &src_block = block(src);
     dst_block.weight_ = 0.0;
-    for (const Op &op : src_block.ops()) {
-        Op clone = op;
-        clone.id = freshOpId();
-        clone.home = id;
+    dst_block.ops_.reserve(src_block.ops_.size());
+    for (Op &orig : src_block.ops_) {
         // Link clone and original through a shared duplication group
         // so the scheduler can detect dominator parallelism.
-        if (op.dupGroup == 0) {
-            const uint32_t group = freshDupGroup();
-            // Patch the original op as well.
-            for (Op &orig : blocks_[src]->ops()) {
-                if (orig.id == op.id) {
-                    orig.dupGroup = group;
-                    break;
-                }
-            }
-            clone.dupGroup = group;
-        }
+        if (orig.dupGroup == 0)
+            orig.dupGroup = freshDupGroup();
+        Op clone = orig;
+        clone.id = freshOpId();
+        clone.home = id;
         dst_block.ops_.push_back(std::move(clone));
     }
     dst_block.edge_weights_ = src_block.edge_weights_;
     dst_block.original_id_ = src_block.original_id_;
-    preds_valid_ = false;
+    // The clone is the highest id, so its entries go last.
+    if (preds_valid_ && dst_block.hasTerminator()) {
+        for (const BlockId succ : dst_block.terminator().targets) {
+            if (succ != kNoBlock)
+                block(succ).preds_.push_back(id);
+        }
+    }
     return id;
 }
 
@@ -133,12 +132,35 @@ Function::replaceTerminator(BlockId id, Op op)
 void
 Function::retargetEdge(BlockId from, BlockId old_to, BlockId new_to)
 {
-    BasicBlock &b = block(from);
-    Op &term = b.terminator();
-    auto it = std::find(term.targets.begin(), term.targets.end(), old_to);
-    TG_ASSERT(it != term.targets.end());
-    *it = new_to;
-    preds_valid_ = false;
+    const auto &targets = block(from).terminator().targets;
+    auto it = std::find(targets.begin(), targets.end(), old_to);
+    TG_ASSERT(it != targets.end());
+    retargetSlot(from, static_cast<size_t>(it - targets.begin()),
+                 new_to);
+}
+
+void
+Function::retargetSlot(BlockId from, size_t slot, BlockId new_to)
+{
+    auto &targets = block(from).terminator().targets;
+    TG_ASSERT(slot < targets.size());
+    const BlockId old_to = targets[slot];
+    targets[slot] = new_to;
+    if (!preds_valid_)
+        return;
+    // One entry of `from` moves from old_to's list to new_to's, at
+    // its place in ascending order.
+    if (old_to != kNoBlock) {
+        auto &preds = block(old_to).preds_;
+        const auto it = std::find(preds.begin(), preds.end(), from);
+        TG_ASSERT(it != preds.end());
+        preds.erase(it);
+    }
+    if (new_to != kNoBlock) {
+        auto &preds = block(new_to).preds_;
+        preds.insert(std::upper_bound(preds.begin(), preds.end(), from),
+                     from);
+    }
 }
 
 void
@@ -147,8 +169,16 @@ Function::removeBlock(BlockId id)
     TG_ASSERT(hasBlock(id));
     TG_ASSERT(predsOf(id).empty());
     TG_ASSERT(id != entry_);
+    // The successors lose their entries for the block. (Stale lists
+    // may be edited too: the next query rebuilds them.)
+    for (const BlockId succ : blocks_[id]->successors()) {
+        if (succ != kNoBlock) {
+            auto &preds = block(succ).preds_;
+            preds.erase(std::remove(preds.begin(), preds.end(), id),
+                        preds.end());
+        }
+    }
     blocks_[id].reset();
-    preds_valid_ = false;
 }
 
 std::vector<BlockId>
@@ -194,7 +224,7 @@ Function::clone() const
         copy.blocks_.push_back(std::move(nb));
     }
     copy.entry_ = entry_;
-    copy.preds_valid_ = false;
+    copy.preds_valid_ = preds_valid_;  // the blocks carry their lists
     copy.next_gpr_ = next_gpr_;
     copy.next_pred_ = next_pred_;
     copy.next_btr_ = next_btr_;

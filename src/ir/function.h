@@ -17,11 +17,14 @@ namespace treegion::ir {
 /**
  * A single-entry control flow graph of basic blocks.
  *
- * Block ids are stable and never reused. Predecessor lists are
- * maintained lazily: any terminator mutation must go through
- * Function (appendTerminator, retargetEdge, replaceTerminator) or be
- * followed by invalidatePreds(); predecessor queries rebuild on
- * demand.
+ * Block ids are stable and never reused. Predecessor lists are built
+ * on the first query after they go stale. The edits tail duplication
+ * makes (createBlock, cloneBlock, retargetSlot, retargetEdge,
+ * removeBlock) then keep them current in place, in the ascending
+ * order a rebuild produces, so a formation loop never rebuilds them.
+ * appendTerminator, replaceTerminator and removeUnreachableBlocks
+ * mark them stale, and so must any manual terminator edit
+ * (invalidatePreds()).
  */
 class Function
 {
@@ -104,6 +107,10 @@ class Function
      * @p from's terminator targets becomes @p new_to.
      */
     void retargetEdge(BlockId from, BlockId old_to, BlockId new_to);
+
+    /** Retarget target slot @p slot of @p from's terminator to
+     * @p new_to. */
+    void retargetSlot(BlockId from, size_t slot, BlockId new_to);
 
     /** Remove an unreachable block (asserts it has no preds). */
     void removeBlock(BlockId id);

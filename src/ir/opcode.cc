@@ -8,53 +8,10 @@ namespace treegion::ir {
 
 namespace {
 
-constexpr size_t kNumOpcodes = static_cast<size_t>(Opcode::NumOpcodes);
-
-// Order must match the Opcode enum.
-const std::array<OpcodeInfo, kNumOpcodes> kInfo = {{
-    // name   lat  br     ld     st     dsts srcs
-    {"MOVI",  1, false, false, false, 1, 1},
-    {"MOV",   1, false, false, false, 1, 1},
-    {"COPY",  1, false, false, false, 1, 1},
-    {"ADD",   1, false, false, false, 1, 2},
-    {"SUB",   1, false, false, false, 1, 2},
-    {"MUL",   1, false, false, false, 1, 2},
-    {"AND",   1, false, false, false, 1, 2},
-    {"OR",    1, false, false, false, 1, 2},
-    {"XOR",   1, false, false, false, 1, 2},
-    {"SHL",   1, false, false, false, 1, 2},
-    {"SHR",   1, false, false, false, 1, 2},
-    {"REM",   1, false, false, false, 1, 2},
-    {"FADD",  1, false, false, false, 1, 2},
-    {"FMUL",  3, false, false, false, 1, 2},
-    {"FDIV",  9, false, false, false, 1, 2},
-    {"LD",    2, false, true,  false, 1, 2},
-    {"ST",    1, false, false, true,  0, 3},
-    {"CMPP",  1, false, false, false, 2, 2},
-    {"PSET",  1, false, false, false, 1, 0},
-    {"PCLR",  1, false, false, false, 1, 0},
-    {"CMPPA", 1, false, false, false, 1, 2},
-    {"CMPPO", 1, false, false, false, 1, 2},
-    {"PBR",   1, false, false, false, 1, 0},
-    {"BRU",   1, true,  false, false, 0, 0},
-    {"BRCT",  1, true,  false, false, 0, 1},
-    {"BRCF",  1, true,  false, false, 0, 1},
-    {"MWBR",  1, true,  false, false, 0, 1},
-    {"RET",   1, true,  false, false, 0, 1},
-}};
-
 const std::array<std::string_view, 6> kCmpNames = {"EQ", "NE", "LT",
                                                    "LE", "GT", "GE"};
 
 } // namespace
-
-const OpcodeInfo &
-opcodeInfo(Opcode opcode)
-{
-    const auto idx = static_cast<size_t>(opcode);
-    TG_ASSERT(idx < kNumOpcodes);
-    return kInfo[idx];
-}
 
 std::string_view
 opcodeName(Opcode opcode)
@@ -72,7 +29,7 @@ bool
 parseOpcode(std::string_view name, Opcode &out)
 {
     for (size_t i = 0; i < kNumOpcodes; ++i) {
-        if (kInfo[i].name == name) {
+        if (kOpcodeInfo[i].name == name) {
             out = static_cast<Opcode>(i);
             return true;
         }
@@ -104,63 +61,6 @@ negateCmpKind(CmpKind kind)
       case CmpKind::GT: return CmpKind::LE;
     }
     TG_PANIC("bad CmpKind");
-}
-
-bool
-evalCmp(CmpKind kind, int64_t a, int64_t b)
-{
-    switch (kind) {
-      case CmpKind::EQ: return a == b;
-      case CmpKind::NE: return a != b;
-      case CmpKind::LT: return a < b;
-      case CmpKind::LE: return a <= b;
-      case CmpKind::GT: return a > b;
-      case CmpKind::GE: return a >= b;
-    }
-    TG_PANIC("bad CmpKind");
-}
-
-int64_t
-evalAlu(Opcode opcode, int64_t a, int64_t b)
-{
-    using U = uint64_t;
-    switch (opcode) {
-      case Opcode::MOVI:
-      case Opcode::MOV:
-      case Opcode::COPY:
-        return a;
-      case Opcode::ADD:
-      case Opcode::FADD:
-        return static_cast<int64_t>(static_cast<U>(a) + static_cast<U>(b));
-      case Opcode::SUB:
-        return static_cast<int64_t>(static_cast<U>(a) - static_cast<U>(b));
-      case Opcode::MUL:
-      case Opcode::FMUL:
-        return static_cast<int64_t>(static_cast<U>(a) * static_cast<U>(b));
-      case Opcode::AND:
-        return a & b;
-      case Opcode::OR:
-        return a | b;
-      case Opcode::XOR:
-        return a ^ b;
-      case Opcode::SHL:
-        return static_cast<int64_t>(static_cast<U>(a) << (b & 63));
-      case Opcode::SHR:
-        return static_cast<int64_t>(static_cast<U>(a) >> (b & 63));
-      case Opcode::FDIV:
-        // Dismissible semantics: divide-by-zero (and the INT_MIN / -1
-        // overflow case) yield zero so speculated divides never trap.
-        if (b == 0 || (a == INT64_MIN && b == -1))
-            return 0;
-        return a / b;
-      case Opcode::REM:
-        if (b == 0 || (a == INT64_MIN && b == -1))
-            return 0;
-        return a % b;
-      default:
-        TG_PANIC("evalAlu: not a computation opcode: %s",
-                 std::string(opcodeName(opcode)).c_str());
-    }
 }
 
 } // namespace treegion::ir

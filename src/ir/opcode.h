@@ -18,8 +18,13 @@
 #ifndef TREEGION_IR_OPCODE_H
 #define TREEGION_IR_OPCODE_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
+
+#include "support/logging.h"
 
 namespace treegion::ir {
 
@@ -92,8 +97,51 @@ struct OpcodeInfo
     int numSrcs;            ///< source operand count
 };
 
+/** Number of opcodes. */
+inline constexpr size_t kNumOpcodes =
+    static_cast<size_t>(Opcode::NumOpcodes);
+
+/** Static metadata of every opcode, in Opcode enum order. */
+inline constexpr std::array<OpcodeInfo, kNumOpcodes> kOpcodeInfo = {{
+    // name   lat  br     ld     st     dsts srcs
+    {"MOVI",  1, false, false, false, 1, 1},
+    {"MOV",   1, false, false, false, 1, 1},
+    {"COPY",  1, false, false, false, 1, 1},
+    {"ADD",   1, false, false, false, 1, 2},
+    {"SUB",   1, false, false, false, 1, 2},
+    {"MUL",   1, false, false, false, 1, 2},
+    {"AND",   1, false, false, false, 1, 2},
+    {"OR",    1, false, false, false, 1, 2},
+    {"XOR",   1, false, false, false, 1, 2},
+    {"SHL",   1, false, false, false, 1, 2},
+    {"SHR",   1, false, false, false, 1, 2},
+    {"REM",   1, false, false, false, 1, 2},
+    {"FADD",  1, false, false, false, 1, 2},
+    {"FMUL",  3, false, false, false, 1, 2},
+    {"FDIV",  9, false, false, false, 1, 2},
+    {"LD",    2, false, true,  false, 1, 2},
+    {"ST",    1, false, false, true,  0, 3},
+    {"CMPP",  1, false, false, false, 2, 2},
+    {"PSET",  1, false, false, false, 1, 0},
+    {"PCLR",  1, false, false, false, 1, 0},
+    {"CMPPA", 1, false, false, false, 1, 2},
+    {"CMPPO", 1, false, false, false, 1, 2},
+    {"PBR",   1, false, false, false, 1, 0},
+    {"BRU",   1, true,  false, false, 0, 0},
+    {"BRCT",  1, true,  false, false, 0, 1},
+    {"BRCF",  1, true,  false, false, 0, 1},
+    {"MWBR",  1, true,  false, false, 0, 1},
+    {"RET",   1, true,  false, false, 0, 1},
+}};
+
 /** @return static metadata for @p opcode. */
-const OpcodeInfo &opcodeInfo(Opcode opcode);
+inline const OpcodeInfo &
+opcodeInfo(Opcode opcode)
+{
+    const auto idx = static_cast<size_t>(opcode);
+    TG_ASSERT(idx < kNumOpcodes);
+    return kOpcodeInfo[idx];
+}
 
 /** @return mnemonic for @p opcode. */
 std::string_view opcodeName(Opcode opcode);
@@ -117,7 +165,19 @@ bool parseCmpKind(std::string_view name, CmpKind &out);
 CmpKind negateCmpKind(CmpKind kind);
 
 /** Evaluate a comparison. */
-bool evalCmp(CmpKind kind, int64_t a, int64_t b);
+inline bool
+evalCmp(CmpKind kind, int64_t a, int64_t b)
+{
+    switch (kind) {
+      case CmpKind::EQ: return a == b;
+      case CmpKind::NE: return a != b;
+      case CmpKind::LT: return a < b;
+      case CmpKind::LE: return a <= b;
+      case CmpKind::GT: return a > b;
+      case CmpKind::GE: return a >= b;
+    }
+    TG_PANIC("bad CmpKind");
+}
 
 /**
  * Evaluate a non-memory, non-branch computation.
@@ -129,7 +189,48 @@ bool evalCmp(CmpKind kind, int64_t a, int64_t b);
  * @param a first source value
  * @param b second source value (ignored by single-source ops)
  */
-int64_t evalAlu(Opcode opcode, int64_t a, int64_t b);
+inline int64_t
+evalAlu(Opcode opcode, int64_t a, int64_t b)
+{
+    using U = uint64_t;
+    switch (opcode) {
+      case Opcode::MOVI:
+      case Opcode::MOV:
+      case Opcode::COPY:
+        return a;
+      case Opcode::ADD:
+      case Opcode::FADD:
+        return static_cast<int64_t>(static_cast<U>(a) + static_cast<U>(b));
+      case Opcode::SUB:
+        return static_cast<int64_t>(static_cast<U>(a) - static_cast<U>(b));
+      case Opcode::MUL:
+      case Opcode::FMUL:
+        return static_cast<int64_t>(static_cast<U>(a) * static_cast<U>(b));
+      case Opcode::AND:
+        return a & b;
+      case Opcode::OR:
+        return a | b;
+      case Opcode::XOR:
+        return a ^ b;
+      case Opcode::SHL:
+        return static_cast<int64_t>(static_cast<U>(a) << (b & 63));
+      case Opcode::SHR:
+        return static_cast<int64_t>(static_cast<U>(a) >> (b & 63));
+      case Opcode::FDIV:
+        // Dismissible semantics: divide-by-zero (and the INT_MIN / -1
+        // overflow case) yield zero so speculated divides never trap.
+        if (b == 0 || (a == INT64_MIN && b == -1))
+            return 0;
+        return a / b;
+      case Opcode::REM:
+        if (b == 0 || (a == INT64_MIN && b == -1))
+            return 0;
+        return a % b;
+      default:
+        TG_PANIC("evalAlu: not a computation opcode: %s",
+                 std::string(opcodeName(opcode)).c_str());
+    }
+}
 
 } // namespace treegion::ir
 

@@ -55,11 +55,16 @@ void
 Region::addBlock(BlockId id, BlockId parent)
 {
     TG_ASSERT(!contains(id));
+    // The new block is a leaf; a parent that was one stops being one.
     if (parent == kNoBlock) {
         TG_ASSERT(blocks_.empty() && id == root_);
+        ++leaves_;
     } else {
         TG_ASSERT(contains(parent));
-        children_[parent].push_back(id);
+        std::vector<BlockId> &kids = children_[parent];
+        if (!kids.empty())
+            ++leaves_;
+        kids.push_back(id);
     }
     parent_[id] = parent;
     blocks_.push_back(id);
@@ -81,14 +86,8 @@ Region::addBlockDag(BlockId id, const std::vector<BlockId> &parents)
 size_t
 Region::pathCount() const
 {
-    if (kind_ != RegionKind::Hyperblock) {
-        size_t leaves = 0;
-        for (const BlockId id : blocks_) {
-            if (childrenOf(id).empty())
-                ++leaves;
-        }
-        return leaves;
-    }
+    if (kind_ != RegionKind::Hyperblock)
+        return leaves_;
     // DAG: count distinct root-to-leaf paths (memoized; the region is
     // acyclic by construction). Saturate to avoid overflow.
     std::unordered_map<BlockId, size_t> memo;

@@ -128,6 +128,7 @@ class Region
     RegionKind kind_;
     ir::BlockId root_;
     std::vector<ir::BlockId> blocks_;
+    size_t leaves_ = 0;  ///< childless members (tree kinds)
     std::unordered_map<ir::BlockId, ir::BlockId> parent_;
     std::unordered_map<ir::BlockId, std::vector<ir::BlockId>> children_;
 };

@@ -58,8 +58,7 @@ tailDuplicateEdge(ir::Function &fn, BlockId pred, size_t slot)
     transferProfileFlow(fn, sapling, clone, edge_weight);
 
     // Redirect exactly this target slot.
-    fn.block(pred).terminator().targets[slot] = clone;
-    fn.invalidatePreds();
+    fn.retargetSlot(pred, slot, clone);
     return clone;
 }
 

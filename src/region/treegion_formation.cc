@@ -20,27 +20,27 @@ namespace {
 /**
  * absorb-into-tree (paper Fig. 2): flood from @p start, absorbing
  * every successor that is not a merge point and not claimed by
- * another region. Successors are pushed to the front of the candidate
- * queue, matching the paper's depth-first growth.
+ * another region. Successors go on top of a candidate stack, first
+ * successor on top, matching the paper's depth-first growth.
  */
 void
 absorbIntoTree(ir::Function &fn, const RegionSet &set, Region &tree,
                BlockId start, BlockId start_parent)
 {
-    std::deque<std::pair<BlockId, BlockId>> candidates;  // (node, parent)
+    std::vector<std::pair<BlockId, BlockId>> candidates;  // (node, parent)
     candidates.emplace_back(start, start_parent);
     while (!candidates.empty()) {
-        const auto [node, parent] = candidates.front();
-        candidates.pop_front();
+        const auto [node, parent] = candidates.back();
+        candidates.pop_back();
         if (tree.contains(node))
             continue;
-        if (fn.isMergePoint(node) || set.covered(node)) {
+        const bool merge = fn.isMergePoint(node);
+        if (merge || set.covered(node)) {
             support::remark(support::RemarkKind::GrowthStopped)
                 .block(node)
                 .arg("root", tree.root())
                 .arg("from", parent)
-                .arg("reason", fn.isMergePoint(node) ? "merge-point"
-                                                     : "claimed");
+                .arg("reason", merge ? "merge-point" : "claimed");
             continue;
         }
 
@@ -49,10 +49,10 @@ absorbIntoTree(ir::Function &fn, const RegionSet &set, Region &tree,
             .block(node)
             .arg("root", tree.root())
             .arg("parent", parent);
-        const auto succs = fn.block(node).successors();
+        const auto &succs = fn.block(node).successors();
         for (auto it = succs.rbegin(); it != succs.rend(); ++it) {
             if (*it != kNoBlock && !tree.contains(*it))
-                candidates.emplace_front(*it, node);
+                candidates.emplace_back(*it, node);
         }
     }
 }
@@ -259,9 +259,9 @@ treeformImpl(ir::Function &fn, const TailDupLimits *limits)
         }
         if (limits)
             expandWithTailDuplication(fn, set, tree, *limits);
-        if (support::remarksEnabled()) {
-            support::remark(support::RemarkKind::RegionFormed)
-                .block(root)
+        if (auto r = support::remark(support::RemarkKind::RegionFormed);
+            r.live()) {
+            r.block(root)
                 .arg("blocks", tree.size())
                 .arg("paths", tree.pathCount())
                 .arg("ops", tree.totalOps(fn));

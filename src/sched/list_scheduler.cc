@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "sched/ddg.h"
@@ -289,6 +288,34 @@ class Scheduler
         }
     }
 
+    /**
+     * Report distinct exit branch ops sharing a cycle, in cycle
+     * order: the predicated branches the paper merges into one
+     * MultiOp.
+     */
+    void
+    reportExitMerges() const
+    {
+        std::vector<std::pair<int, size_t>> branches;
+        branches.reserve(lowered_.exits.size());
+        for (const LoweredExit &exit : lowered_.exits)
+            branches.emplace_back(cycle_[exit.op_index], exit.op_index);
+        std::sort(branches.begin(), branches.end());
+        branches.erase(std::unique(branches.begin(), branches.end()),
+                       branches.end());
+        for (size_t lo = 0, hi = 0; lo < branches.size(); lo = hi) {
+            while (hi < branches.size() &&
+                   branches[hi].first == branches[lo].first)
+                ++hi;
+            if (hi - lo > 1) {
+                support::remark(support::RemarkKind::ExitMerged)
+                    .block(lowered_.root)
+                    .arg("cycle", branches[lo].first)
+                    .arg("branches", hi - lo);
+            }
+        }
+    }
+
     ir::Function &fn_;
     LoweredRegion lowered_;
     Arena &arena_;
@@ -548,21 +575,8 @@ Scheduler::assemble()
         se.copies = std::move(exit.copies);
         sched.exits.push_back(std::move(se));
     }
-    if (support::remarksEnabled()) {
-        // Distinct exit branch ops sharing a cycle: the predicated
-        // branches the paper merges into one MultiOp.
-        std::map<int, std::set<size_t>> branches_at;
-        for (const LoweredExit &exit : lowered_.exits)
-            branches_at[cycle_[exit.op_index]].insert(exit.op_index);
-        for (const auto &[exit_cycle, branches] : branches_at) {
-            if (branches.size() > 1) {
-                support::remark(support::RemarkKind::ExitMerged)
-                    .block(lowered_.root)
-                    .arg("cycle", exit_cycle)
-                    .arg("branches", branches.size());
-            }
-        }
-    }
+    if (support::remarksEnabled())
+        reportExitMerges();
     return sched;
 }
 

@@ -78,11 +78,11 @@ class Lowerer
                 fresh = fn_.freshBtr();
                 break;
             }
-            if (support::remarksEnabled()) {
+            if (auto r = support::remark(support::RemarkKind::Renamed);
+                r.live()) {
                 // op.id is still the original op's id here; emit()
                 // assigns the lowered clone a fresh one later.
-                support::remark(support::RemarkKind::Renamed)
-                    .block(home)
+                r.block(home)
                     .op(op.id)
                     .arg("from", dst.str())
                     .arg("to", fresh.str());

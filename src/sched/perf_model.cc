@@ -21,8 +21,8 @@ estimateRegionTime(const RegionSchedule &sched)
         // branch landed in.
         const double cost = exit.weight > 0.0 ? exit.weight * cycles
                                               : 0.0;
-        if (support::remarksEnabled()) {
-            auto r = support::remark(support::RemarkKind::ExitCost);
+        if (auto r = support::remark(support::RemarkKind::ExitCost);
+            r.live()) {
             r.block(exit.from).arg("root", sched.root);
             if (!exit.is_ret && exit.target != ir::kNoBlock)
                 r.arg("target", exit.target);

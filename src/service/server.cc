@@ -91,7 +91,7 @@ drainPipe(int fd)
  * Compile @p fn under @p options as @p req asks and render the
  * deterministic result report — the bytes the cache stores. The
  * input function is never mutated (profile and pipeline both work on
- * private clones), so verify mode can call this a second time and
+ * one private clone), so verify mode can call this a second time and
  * demand bit-identical output. Wall time goes to @p compile_ms, NOT
  * into the body: it differs run to run, the body must not.
  */
@@ -109,10 +109,10 @@ compileBody(const ir::Function &fn, size_t mem_words,
         prof.runs = req.profile_runs;
         workloads::profileFunction(work, mem_words, prof);
     }
-    const sched::ClonedPipelineRun run =
-        sched::runPipelineOnClone(work, options);
+    const sched::PipelineResult result =
+        sched::runPipeline(work, options);
     const auto problems = sched::verifyFunctionSchedule(
-        run.result.schedule, options.model.issue_width);
+        result.schedule, options.model.issue_width);
 
     if (compile_ms) {
         *compile_ms = std::chrono::duration<double, std::milli>(
@@ -123,18 +123,18 @@ compileBody(const ir::Function &fn, size_t mem_words,
     std::ostringstream body;
     body << "function: " << fn.name() << '\n'
          << "options: " << encodePipelineOptions(options) << '\n'
-         << "regions: " << run.result.schedule.regions.size() << '\n'
+         << "regions: " << result.schedule.regions.size() << '\n'
          << support::strprintf("cycles: %.17g\n",
-                               run.result.estimated_time)
+                               result.estimated_time)
          << support::strprintf("expansion: %.17g\n",
-                               run.result.code_expansion)
-         << "renamed: " << run.result.total_sched_stats.renamed_defs
+                               result.code_expansion)
+         << "renamed: " << result.total_sched_stats.renamed_defs
          << '\n'
          << "exit-copies: "
-         << run.result.total_sched_stats.exit_copies << '\n'
+         << result.total_sched_stats.exit_copies << '\n'
          << "speculated: "
-         << run.result.total_sched_stats.speculated_ops << '\n'
-         << "elided: " << run.result.total_sched_stats.elided_ops
+         << result.total_sched_stats.speculated_ops << '\n'
+         << "elided: " << result.total_sched_stats.elided_ops
          << '\n';
     if (problems.empty()) {
         body << "verify: ok\n";
@@ -144,7 +144,7 @@ compileBody(const ir::Function &fn, size_t mem_words,
     }
     if (req.want_schedule) {
         body << "schedule:\n";
-        for (const auto &[root, rs] : run.result.schedule.regions) {
+        for (const auto &[root, rs] : result.schedule.regions) {
             body << "-- region bb" << root << " (" << rs.length
                  << " cycles)\n"
                  << rs.str(options.model.issue_width);
@@ -1167,13 +1167,25 @@ Server::compileNow(const Request &req)
             return makeError(status::kError,
                              "verifier: " + problems.front());
     }
+    if (req.profile && mod->memWords() < workloads::kMinInputMemWords) {
+        return makeError(
+            status::kError,
+            support::strprintf("mem=%zu is too small to profile: the "
+                               "profiler needs mem=%zu or more",
+                               mod->memWords(),
+                               workloads::kMinInputMemWords));
+    }
 
     // Content address: canonical (printed) function text, so
     // submissions that differ only in formatting share an entry,
-    // plus every request field that shapes the body.
-    const std::string canonical = canonicalFunctionText(*fn);
-    const CacheKey key =
-        makeCacheKey(canonical, req.configFingerprint());
+    // plus every request field that shapes the body. Only the
+    // cache, the raw alias and the cluster ring read it, so a
+    // no-cache request to a lone replica skips it.
+    const bool use_cache = options_.cache_bytes > 0 && !req.no_cache;
+    CacheKey key;
+    if (use_cache || !cluster_.empty())
+        key = makeCacheKey(canonicalFunctionText(*fn),
+                           req.configFingerprint());
 
     // Shard accounting: who owns this key on the cluster ring? A
     // foreign key means the client routed around us (or the ring
@@ -1194,7 +1206,6 @@ Server::compileNow(const Request &req)
         raw_alias_.emplace(std::pair{raw_key.hi, raw_key.lo}, key);
     }
 
-    const bool use_cache = options_.cache_bytes > 0 && !req.no_cache;
     if (use_cache) {
         std::optional<std::string> looked_up;
         {
@@ -1230,11 +1241,13 @@ Server::compileNow(const Request &req)
 
     Response resp;
     {
-        // Decision-mix telemetry for /stats: collect this compile's
-        // remarks and fold them into the per-kind counters. Miss path
-        // only — the verify_hits recompile above must not count the
-        // same decisions twice.
-        support::RemarkStream remarks;
+        // Decision-mix telemetry for /stats: count this compile's
+        // remarks by kind (no Remark is built) and fold the counts
+        // into the per-kind counters. Miss path only — the
+        // verify_hits recompile above must not count the same
+        // decisions twice.
+        support::RemarkStream remarks(
+            support::RemarkStream::Mode::CountOnly);
         support::RemarkScope scope(&remarks);
         resp.body = compileBody(*fn, mod->memWords(), options, req,
                                 &resp.compile_ms);

@@ -412,16 +412,32 @@ RemarkStream::toJsonLines() const
     return out;
 }
 
+uint64_t
+RemarkStream::total() const
+{
+    uint64_t sum = 0;
+    for (const uint64_t n : counts_)
+        sum += n;
+    return sum;
+}
+
 void
 RemarkStream::foldInto(MetricsRegistry &metrics) const
 {
-    for (const Remark &r : remarks_) {
-        std::string name = std::string("remarks_") +
-                           remarkKindName(r.kind);
-        std::replace(name.begin(), name.end(), '-', '_');
-        metrics.add(name);
+    static const std::array<std::string, kNumRemarkKinds> names = [] {
+        std::array<std::string, kNumRemarkKinds> out;
+        for (const RemarkKind kind : kAllRemarkKinds) {
+            std::string &name = out[static_cast<size_t>(kind)];
+            name = std::string("remarks_") + remarkKindName(kind);
+            std::replace(name.begin(), name.end(), '-', '_');
+        }
+        return out;
+    }();
+    for (const RemarkKind kind : kAllRemarkKinds) {
+        if (const uint64_t n = count(kind))
+            metrics.add(names[static_cast<size_t>(kind)], n);
     }
-    metrics.add("remarks_total", remarks_.size());
+    metrics.add("remarks_total", total());
 }
 
 namespace {

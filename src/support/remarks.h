@@ -25,6 +25,11 @@
  *    remark(kind) and are inert (one thread-local load) when no
  *    stream is installed, so the fuzzer's hot loop pays nothing.
  *
+ *  - A count-only stream keeps per-kind counts and builds no Remark:
+ *    remark(kind) counts and returns an inert builder. The compile
+ *    server uses one on every cache miss to feed its /stats
+ *    counters; full streams are for --remarks output.
+ *
  *  - Determinism: a stream is private to one pipeline run on one
  *    thread, so the remark sequence is a pure function of the input —
  *    the parallel driver collects one stream per job and returns
@@ -35,7 +40,9 @@
 #ifndef TREEGION_SUPPORT_REMARKS_H
 #define TREEGION_SUPPORT_REMARKS_H
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -79,6 +86,9 @@ inline constexpr RemarkKind kAllRemarkKinds[] = {
     RemarkKind::Elided,         RemarkKind::ExitMerged,
     RemarkKind::TieBreak,       RemarkKind::ExitCost,
 };
+
+/** Number of remark kinds. */
+inline constexpr size_t kNumRemarkKinds = std::size(kAllRemarkKinds);
 
 /** @return the stable wire name, e.g. "tail-dup-refused". */
 const char *remarkKindName(RemarkKind kind);
@@ -138,6 +148,18 @@ bool parseRemarkJson(const std::string &line, Remark &out,
 class RemarkStream
 {
   public:
+    /** What a stream keeps of each emitted remark. */
+    enum class Mode {
+        Full,       ///< the Remark with its arguments, plus the count
+        CountOnly,  ///< the per-kind count only; no Remark is built
+    };
+
+    RemarkStream() = default;
+    explicit RemarkStream(Mode mode) : mode_(mode) {}
+
+    /** @return true when only per-kind counts are kept. */
+    bool countOnly() const { return mode_ == Mode::CountOnly; }
+
     /** Stamp @p name into subsequently emitted remarks that carry no
      * function of their own. */
     void setFunction(std::string name) { function_ = std::move(name); }
@@ -145,20 +167,35 @@ class RemarkStream
     /** @return the current function stamp. */
     const std::string &function() const { return function_; }
 
+    /** Count one remark of @p kind without recording it. */
+    void note(RemarkKind kind) { ++counts_[static_cast<size_t>(kind)]; }
+
     /** Append @p r (stamping the current function when empty). */
     void
     emit(Remark r)
     {
+        note(r.kind);
         if (r.function.empty())
             r.function = function_;
         remarks_.push_back(std::move(r));
     }
 
-    /** @return all remarks, in emission order. */
+    /** @return all remarks, in emission order (none when count-only). */
     const std::vector<Remark> &remarks() const { return remarks_; }
 
-    /** @return number of collected remarks. */
+    /** @return number of collected Remark records (0 when
+     * count-only; see total()). */
     size_t size() const { return remarks_.size(); }
+
+    /** @return remarks of @p kind emitted so far, in either mode. */
+    uint64_t
+    count(RemarkKind kind) const
+    {
+        return counts_[static_cast<size_t>(kind)];
+    }
+
+    /** @return remarks of every kind emitted so far, in either mode. */
+    uint64_t total() const;
 
     /** Serialize every remark as JSON lines (one per line, each
      * newline-terminated). */
@@ -166,22 +203,26 @@ class RemarkStream
 
     /**
      * Fold per-kind counts into @p metrics as "remarks_<kind>"
-     * counters ('-' mapped to '_') plus a "remarks_total", so a
-     * long-lived service surfaces decision mix on /stats.
+     * counters ('-' mapped to '_'; kinds never emitted are skipped)
+     * plus a "remarks_total", so a long-lived service surfaces
+     * decision mix on /stats.
      */
     void foldInto(MetricsRegistry &metrics) const;
 
-    /** Drop everything (function stamp included). */
+    /** Drop everything (function stamp and counts included). */
     void
     clear()
     {
         function_.clear();
         remarks_.clear();
+        counts_.fill(0);
     }
 
   private:
+    Mode mode_ = Mode::Full;
     std::string function_;
     std::vector<Remark> remarks_;
+    std::array<uint64_t, kNumRemarkKinds> counts_{};
 };
 
 /** @return the stream installed for this thread, or nullptr. */
@@ -215,7 +256,7 @@ class RemarkScope
 /**
  * Fluent emission: accumulates one Remark and hands it to the stream
  * on destruction. Inert (every method an early-out) when @p stream
- * is null.
+ * is null or count-only; a count-only stream takes its count here.
  */
 class RemarkBuilder
 {
@@ -223,6 +264,10 @@ class RemarkBuilder
     RemarkBuilder(RemarkStream *stream, RemarkKind kind)
         : stream_(stream)
     {
+        if (stream_ && stream_->countOnly()) {
+            stream_->note(kind);
+            stream_ = nullptr;
+        }
         remark_.kind = kind;
     }
 
@@ -234,6 +279,10 @@ class RemarkBuilder
 
     RemarkBuilder(const RemarkBuilder &) = delete;
     RemarkBuilder &operator=(const RemarkBuilder &) = delete;
+
+    /** @return true when arguments are recorded (a full stream is
+     * installed); sites whose arguments cost work test this first. */
+    bool live() const { return stream_ != nullptr; }
 
     /** Anchor to block @p id. */
     RemarkBuilder &
@@ -301,7 +350,7 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, const char *value)
     {
-        return arg(key, std::string(value));
+        return stream_ ? arg(key, std::string(value)) : *this;
     }
 
   private:

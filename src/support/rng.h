@@ -34,6 +34,14 @@ class Rng
     /** @return a uniform value in [lo, hi] inclusive. */
     int64_t nextRange(int64_t lo, int64_t hi);
 
+    /**
+     * Fill @p out[0, n) with uniform values in [lo, hi]: the same
+     * values, and the same final generator state, as @p n calls of
+     * nextRange(lo, hi), at a fraction of the cost (the rejection
+     * threshold and the divisor are prepared once).
+     */
+    void fillRange(int64_t *out, size_t n, int64_t lo, int64_t hi);
+
     /** @return a uniform double in [0, 1). */
     double nextDouble();
 

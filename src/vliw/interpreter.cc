@@ -9,10 +9,23 @@ using ir::BlockId;
 using ir::Op;
 using ir::Opcode;
 
+ExecutionCounts::ExecutionCounts(const ir::Function &fn)
+    : block(fn.numBlockIds(), 0), edge_base(fn.numBlockIds(), 0)
+{
+    uint32_t slots = 0;
+    fn.forEachBlock([&](const ir::BasicBlock &b) {
+        edge_base[b.id()] = slots;
+        if (b.hasTerminator())
+            slots += static_cast<uint32_t>(b.terminator().targets.size());
+    });
+    edge.assign(slots, 0);
+}
+
 ExecResult
 runSequential(ir::Function &fn, std::vector<int64_t> memory,
               const InterpOptions &options, ExecutionCounts *counts)
 {
+    TG_ASSERT(!counts || counts->block.size() == fn.numBlockIds());
     MachineState state(fn.numGprs(), fn.numPreds(), std::move(memory));
     ExecResult result;
 
@@ -25,20 +38,21 @@ runSequential(ir::Function &fn, std::vector<int64_t> memory,
 
     BlockId cur = fn.entry();
     for (;;) {
-        result.trace.push_back(cur);
         if (counts)
-            counts->block[cur] += 1.0;
+            ++counts->block[cur];
+        else
+            result.trace.push_back(cur);
         const ir::BasicBlock &b = fn.block(cur);
 
         // Body ops.
-        for (size_t i = 0; i + 1 < b.ops().size(); ++i) {
-            const Op &op = b.ops()[i];
+        const std::vector<Op> &ops = b.ops();
+        for (size_t i = 0; i + 1 < ops.size(); ++i) {
             ++result.ops_executed;
             if (result.ops_executed > options.max_ops) {
-                result.memory = state.memory();
+                result.memory = state.takeMemory();
                 return result;  // completed stays false
             }
-            sem::execDataOp(op, readReg, state, writeNow);
+            sem::execDataOp(ops[i], readReg, state, writeNow);
         }
 
         // Terminator.
@@ -54,22 +68,21 @@ runSequential(ir::Function &fn, std::vector<int64_t> memory,
             // shrink part of the narrowing chain. Halt without
             // completing so callers reject the execution instead of
             // the process aborting.
-            result.memory = state.memory();
+            result.memory = state.takeMemory();
             return result;  // completed stays false
         }
         if (out.is_ret) {
             result.completed = true;
             result.ret_value = out.ret_value;
-            result.memory = state.memory();
             result.wrapped_stores = state.wrappedStores();
+            result.memory = state.takeMemory();
             return result;
         }
         // A not-taken BRCT/BRCF falls through to target slot 1.
         const size_t taken_slot =
             out.kind == sem::BranchOutcome::Kind::kFire ? out.slot : 1;
         if (counts)
-            counts->edge[ExecutionCounts::edgeKey(cur, taken_slot)] +=
-                1.0;
+            ++counts->edge[counts->edge_base[cur] + taken_slot];
         cur = term.targets[taken_slot];
         TG_ASSERT(cur != ir::kNoBlock);
     }

@@ -12,7 +12,6 @@
 #define TREEGION_VLIW_INTERPRETER_H
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -26,25 +25,32 @@ struct ExecResult
     bool completed = false;   ///< false: step/cycle limit hit
     int64_t ret_value = 0;    ///< RET operand value
     std::vector<int64_t> memory;       ///< final memory image
-    std::vector<ir::BlockId> trace;    ///< blocks entered, in order
+    /** Blocks entered, in order; left empty by a counting run. */
+    std::vector<ir::BlockId> trace;
     uint64_t ops_executed = 0;
     uint64_t wrapped_stores = 0;
 };
 
-/** Per-block and per-edge execution counts from one or more runs. */
+/**
+ * Per-block and per-edge execution counts from one or more runs of
+ * one function, dense over its block ids and terminator slots.
+ */
 struct ExecutionCounts
 {
-    std::unordered_map<ir::BlockId, double> block;
-    /** Keyed by (block << 32) | target slot. */
-    std::unordered_map<uint64_t, double> edge;
+    /** Zeroed counters shaped for @p fn's blocks and edges. */
+    explicit ExecutionCounts(const ir::Function &fn);
 
-    /** Key helper. */
-    static uint64_t
-    edgeKey(ir::BlockId from, size_t slot)
+    /** @return the count of the edge leaving @p from by target
+     * @p slot. */
+    uint64_t
+    edgeCount(ir::BlockId from, size_t slot) const
     {
-        return (static_cast<uint64_t>(from) << 32) |
-               static_cast<uint64_t>(slot);
+        return edge[edge_base[from] + slot];
     }
+
+    std::vector<uint64_t> block;      ///< indexed by block id
+    std::vector<uint32_t> edge_base;  ///< block id -> its first slot
+    std::vector<uint64_t> edge;       ///< edge_base[from] + slot
 };
 
 /** Sequential execution options. */
@@ -60,6 +66,7 @@ struct InterpOptions
  * @param memory initial data memory
  * @param options limits
  * @param counts when non-null, block/edge counts are accumulated here
+ *        (shaped for @p fn) and no trace is recorded
  */
 ExecResult runSequential(ir::Function &fn, std::vector<int64_t> memory,
                          const InterpOptions &options = {},

@@ -13,42 +13,8 @@ MachineState::MachineState(uint32_t num_gprs, uint32_t num_preds,
     TG_ASSERT(!memory_.empty());
 }
 
-int64_t
-MachineState::readReg(ir::Reg r) const
-{
-    switch (r.cls) {
-      case ir::RegClass::Gpr:
-        TG_ASSERT(r.idx < gprs_.size());
-        return gprs_[r.idx];
-      case ir::RegClass::Pred:
-        TG_ASSERT(r.idx < preds_.size());
-        return preds_[r.idx];
-      case ir::RegClass::Btr:
-        return 0;
-    }
-    TG_PANIC("bad RegClass");
-}
-
-void
-MachineState::writeReg(ir::Reg r, int64_t value)
-{
-    switch (r.cls) {
-      case ir::RegClass::Gpr:
-        TG_ASSERT(r.idx < gprs_.size());
-        gprs_[r.idx] = value;
-        return;
-      case ir::RegClass::Pred:
-        TG_ASSERT(r.idx < preds_.size());
-        preds_[r.idx] = value ? 1 : 0;
-        return;
-      case ir::RegClass::Btr:
-        return;  // BTRs carry no simulated semantics
-    }
-    TG_PANIC("bad RegClass");
-}
-
 size_t
-MachineState::wrap(int64_t addr, bool is_store)
+MachineState::wrapSlow(int64_t addr, bool is_store)
 {
     const auto size = static_cast<int64_t>(memory_.size());
     int64_t wrapped = addr % size;
@@ -60,18 +26,6 @@ MachineState::wrap(int64_t addr, bool is_store)
             ++wrapped_stores_;
     }
     return static_cast<size_t>(wrapped);
-}
-
-int64_t
-MachineState::readMem(int64_t addr)
-{
-    return memory_[wrap(addr, false)];
-}
-
-void
-MachineState::writeMem(int64_t addr, int64_t value)
-{
-    memory_[wrap(addr, true)] = value;
 }
 
 } // namespace treegion::vliw

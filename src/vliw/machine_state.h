@@ -15,9 +15,11 @@
 #define TREEGION_VLIW_MACHINE_STATE_H
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ir/operand.h"
+#include "support/logging.h"
 
 namespace treegion::vliw {
 
@@ -34,19 +36,56 @@ class MachineState
                  std::vector<int64_t> memory);
 
     /** Read a register (BTRs read as 0; they carry no semantics). */
-    int64_t readReg(ir::Reg r) const;
+    int64_t
+    readReg(ir::Reg r) const
+    {
+        switch (r.cls) {
+          case ir::RegClass::Gpr:
+            TG_ASSERT(r.idx < gprs_.size());
+            return gprs_[r.idx];
+          case ir::RegClass::Pred:
+            TG_ASSERT(r.idx < preds_.size());
+            return preds_[r.idx];
+          case ir::RegClass::Btr:
+            return 0;
+        }
+        TG_PANIC("bad RegClass");
+    }
 
     /** Write a register. */
-    void writeReg(ir::Reg r, int64_t value);
+    void
+    writeReg(ir::Reg r, int64_t value)
+    {
+        switch (r.cls) {
+          case ir::RegClass::Gpr:
+            TG_ASSERT(r.idx < gprs_.size());
+            gprs_[r.idx] = value;
+            return;
+          case ir::RegClass::Pred:
+            TG_ASSERT(r.idx < preds_.size());
+            preds_[r.idx] = value ? 1 : 0;
+            return;
+          case ir::RegClass::Btr:
+            return;  // BTRs carry no simulated semantics
+        }
+        TG_PANIC("bad RegClass");
+    }
 
     /** Read memory, wrapping the address (dismissible load). */
-    int64_t readMem(int64_t addr);
+    int64_t readMem(int64_t addr) { return memory_[wrap(addr, false)]; }
 
     /** Write memory, wrapping the address (counted). */
-    void writeMem(int64_t addr, int64_t value);
+    void
+    writeMem(int64_t addr, int64_t value)
+    {
+        memory_[wrap(addr, true)] = value;
+    }
 
     /** @return the full memory image. */
     const std::vector<int64_t> &memory() const { return memory_; }
+
+    /** Move the memory image out (the state is done with it). */
+    std::vector<int64_t> takeMemory() { return std::move(memory_); }
 
     /** @return loads+stores whose address wrapped. */
     uint64_t wrappedAccesses() const { return wrapped_; }
@@ -55,7 +94,16 @@ class MachineState
     uint64_t wrappedStores() const { return wrapped_stores_; }
 
   private:
-    size_t wrap(int64_t addr, bool is_store);
+    size_t
+    wrap(int64_t addr, bool is_store)
+    {
+        // In range is the common case: no division.
+        if (static_cast<uint64_t>(addr) < memory_.size())
+            return static_cast<size_t>(addr);
+        return wrapSlow(addr, is_store);
+    }
+
+    size_t wrapSlow(int64_t addr, bool is_store);
 
     std::vector<int64_t> gprs_;
     std::vector<int64_t> preds_;

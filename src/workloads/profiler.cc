@@ -9,7 +9,7 @@ profileFunction(ir::Function &fn, size_t mem_words,
                 const ProfileOptions &options)
 {
     ProfileSummary summary;
-    vliw::ExecutionCounts counts;
+    vliw::ExecutionCounts counts(fn);
     for (int run = 0; run < options.runs; ++run) {
         auto memory = makeInputMemory(
             mem_words, options.input_seed * 0x9e3779b9ULL + run,
@@ -22,17 +22,16 @@ profileFunction(ir::Function &fn, size_t mem_words,
         }
     }
 
+    // Counts are whole numbers far below 2^53, so converting them is
+    // exact: the weights equal a sum of 1.0 per execution.
     fn.forEachBlockMut([&](ir::BasicBlock &b) {
-        auto it = counts.block.find(b.id());
-        b.setWeight(it == counts.block.end() ? 0.0 : it->second);
+        b.setWeight(static_cast<double>(counts.block[b.id()]));
         const size_t n_targets =
             b.hasTerminator() ? b.terminator().targets.size() : 0;
-        b.edgeWeights().assign(n_targets, 0.0);
+        b.edgeWeights().resize(n_targets);
         for (size_t slot = 0; slot < n_targets; ++slot) {
-            auto eit = counts.edge.find(
-                vliw::ExecutionCounts::edgeKey(b.id(), slot));
-            if (eit != counts.edge.end())
-                b.edgeWeights()[slot] = eit->second;
+            b.edgeWeights()[slot] =
+                static_cast<double>(counts.edgeCount(b.id(), slot));
         }
     });
     return summary;

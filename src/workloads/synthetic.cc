@@ -407,11 +407,11 @@ generateProgram(const std::string &name, const GenParams &params)
 std::vector<int64_t>
 makeInputMemory(size_t mem_words, uint64_t seed, int data_max)
 {
-    TG_ASSERT(mem_words > kReservedWords);
+    TG_ASSERT(mem_words >= kMinInputMemWords);
     std::vector<int64_t> memory(mem_words, 0);
     Rng rng(seed);
-    for (size_t i = 0; i < mem_words - kReservedWords; ++i)
-        memory[i] = rng.nextRange(0, data_max - 1);
+    rng.fillRange(memory.data(), mem_words - kReservedWords, 0,
+                  data_max - 1);
     return memory;
 }
 

@@ -32,6 +32,14 @@ namespace treegion::workloads {
 /** Memory words reserved for counters and the accumulator. */
 inline constexpr size_t kReservedWords = 256;
 
+/**
+ * Smallest memory image makeInputMemory accepts: the reserved words
+ * plus one data word. Callers that take the size from a module
+ * (`mem=`) check it against this and report an error rather than
+ * profile or run a smaller one.
+ */
+inline constexpr size_t kMinInputMemWords = kReservedWords + 1;
+
 /** Generator parameters. */
 struct GenParams
 {
@@ -120,7 +128,8 @@ std::unique_ptr<ir::Module> generateProgram(const std::string &name,
 
 /**
  * Build an input memory image for a generated program: data cells
- * uniform in [0, data_max), reserved cells zero.
+ * uniform in [0, data_max), reserved cells zero. @p mem_words must be
+ * at least kMinInputMemWords.
  */
 std::vector<int64_t> makeInputMemory(size_t mem_words, uint64_t seed,
                                      int data_max);

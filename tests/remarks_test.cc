@@ -3,12 +3,16 @@
  * Decision-remark tests: kind/pass naming, JSON schema round-trip and
  * rejection, stream collection and metrics folding, and — against
  * real pipeline runs — that every remark kind is emitted, that counts
- * agree with the scheduler's own statistics, and that tail-dup
- * refusals are reported exactly once per refused edge.
+ * agree with the scheduler's own statistics, that tail-dup refusals
+ * are reported exactly once per refused edge, and that a count-only
+ * stream counts exactly what a full stream records without changing
+ * the compile.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -16,11 +20,14 @@
 
 #include "ir/builder.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
 #include "region/formation.h"
 #include "region/graphviz.h"
 #include "sched/pipeline.h"
+#include "sched/priority.h"
 #include "support/metrics.h"
 #include "support/remarks.h"
+#include "support/string_utils.h"
 #include "workloads/profiler.h"
 
 namespace treegion::support {
@@ -160,6 +167,37 @@ TEST(RemarkStream, StampsFunctionAndFoldsCounters)
     EXPECT_EQ(metrics.counter("remarks_renamed"), 2u);
     EXPECT_EQ(metrics.counter("remarks_speculated"), 1u);
     EXPECT_EQ(metrics.counter("remarks_total"), 3u);
+}
+
+TEST(RemarkStream, CountOnlyCountsWithoutBuildingRemarks)
+{
+    RemarkStream stream(RemarkStream::Mode::CountOnly);
+    {
+        RemarkScope scope(&stream);
+        // Still enabled: dedupe-gated sites must count as before.
+        ASSERT_TRUE(remarksEnabled());
+        auto r = remark(RemarkKind::Renamed);
+        EXPECT_FALSE(r.live());
+        r.block(1).op(2).arg("from", "r1");
+        remark(RemarkKind::Renamed).arg("to", std::string("r9"));
+        remark(RemarkKind::ExitCost).arg("cost", 1.5);
+    }
+    EXPECT_EQ(stream.size(), 0u);
+    EXPECT_EQ(stream.count(RemarkKind::Renamed), 2u);
+    EXPECT_EQ(stream.count(RemarkKind::ExitCost), 1u);
+    EXPECT_EQ(stream.count(RemarkKind::Elided), 0u);
+    EXPECT_EQ(stream.total(), 3u);
+
+    MetricsRegistry metrics;
+    stream.foldInto(metrics);
+    EXPECT_EQ(metrics.counter("remarks_renamed"), 2u);
+    EXPECT_EQ(metrics.counter("remarks_exit_cost"), 1u);
+    EXPECT_EQ(metrics.counter("remarks_total"), 3u);
+    // Kinds never emitted get no counter, exactly as before.
+    EXPECT_EQ(metrics.counters().count("remarks_elided"), 0u);
+
+    stream.clear();
+    EXPECT_EQ(stream.total(), 0u);
 }
 
 TEST(RemarkStream, BuilderIsInertWithoutAScope)
@@ -496,6 +534,114 @@ TEST(PipelineRemarks, DisabledCollectionIsFree)
     const auto result = sched::runPipeline(clone, options);
     EXPECT_GT(result.estimated_time, 0.0);
     EXPECT_EQ(currentRemarkStream(), nullptr);
+}
+
+// ---- count-only streams --------------------------------------------
+
+/** The examples and the frozen golden inputs, profiled as treegionc
+ * profiles them. */
+std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>>
+loadCorpus()
+{
+    namespace fs = std::filesystem;
+    std::vector<fs::path> paths;
+    for (const char *dir :
+         {TREEGION_EXAMPLES_DIR, TREEGION_GOLDEN_DIR "/inputs"}) {
+        for (const auto &entry : fs::directory_iterator(dir)) {
+            if (entry.path().extension() == ".tir")
+                paths.push_back(entry.path());
+        }
+    }
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::pair<std::string, std::unique_ptr<ir::Module>>> out;
+    for (const fs::path &path : paths) {
+        std::ifstream file(path);
+        std::ostringstream text;
+        text << file.rdbuf();
+        std::string error;
+        auto mod = ir::parseModule(text.str(), &error);
+        EXPECT_TRUE(mod) << path << ": " << error;
+        if (!mod)
+            continue;
+        for (const auto &fn : mod->functions())
+            workloads::profileFunction(*fn, mod->memWords());
+        out.emplace_back(path.filename().string(), std::move(mod));
+    }
+    return out;
+}
+
+/** Everything a compile produced: the transformed function and the
+ * full schedule, bit for bit. */
+std::string
+compileDump(const Function &fn, const sched::PipelineResult &result,
+            int width)
+{
+    std::ostringstream printed;
+    ir::printFunction(printed, fn);
+    std::string out = printed.str();
+    out += strprintf("time %.17g expansion %.17g\n", result.estimated_time,
+                     result.code_expansion);
+    for (const auto &[root, rs] : result.schedule.regions) {
+        out += strprintf("region bb%u len=%d renamed=%zu copies=%zu "
+                         "spec=%zu elided=%zu\n",
+                         root, rs.length, rs.stats.renamed_defs,
+                         rs.stats.exit_copies, rs.stats.speculated_ops,
+                         rs.stats.elided_ops);
+        out += rs.str(width);
+    }
+    return out;
+}
+
+TEST(CountOnlyRemarks, MatchFullStreamsAndLeaveCompilesUnchanged)
+{
+    const auto corpus = loadCorpus();
+    ASSERT_GE(corpus.size(), 11u);  // sum_loop + 10 frozen inputs
+    size_t compiles = 0;
+    for (const auto &[name, mod] : corpus) {
+        const Function &fn = *mod->functions().front();
+        for (const sched::RegionScheme scheme :
+             {sched::RegionScheme::BasicBlock, sched::RegionScheme::Slr,
+              sched::RegionScheme::Superblock,
+              sched::RegionScheme::Treegion,
+              sched::RegionScheme::TreegionTailDup,
+              sched::RegionScheme::Hyperblock}) {
+            for (const sched::Heuristic heuristic : sched::kAllHeuristics) {
+                sched::PipelineOptions options;
+                options.scheme = scheme;
+                options.model = sched::MachineModel::custom(4);
+                options.sched.heuristic = heuristic;
+                SCOPED_TRACE(name + " " +
+                             sched::encodePipelineOptions(options));
+
+                auto run = [&](RemarkStream *stream) {
+                    Function clone = fn.clone();
+                    RemarkScope scope(stream);
+                    const sched::PipelineResult result =
+                        sched::runPipeline(clone, options);
+                    return compileDump(clone, result, 4);
+                };
+                RemarkStream full;
+                RemarkStream counted(RemarkStream::Mode::CountOnly);
+                const std::string bare = run(nullptr);
+                EXPECT_EQ(run(&full), bare);
+                EXPECT_EQ(run(&counted), bare);
+
+                const auto expected = countByKind(full);
+                for (const RemarkKind kind : kAllRemarkKinds) {
+                    const auto it = expected.find(kind);
+                    EXPECT_EQ(counted.count(kind),
+                              it == expected.end() ? 0u : it->second)
+                        << remarkKindName(kind);
+                    EXPECT_EQ(full.count(kind), counted.count(kind))
+                        << remarkKindName(kind);
+                }
+                EXPECT_EQ(counted.total(), full.size());
+                EXPECT_EQ(counted.size(), 0u);
+                ++compiles;
+            }
+        }
+    }
+    EXPECT_EQ(compiles, corpus.size() * 6 * 4);
 }
 
 // ---- graphviz annotation (satellite) -------------------------------

@@ -3,14 +3,17 @@
  * Tests for the compile service: cache keys, the LRU cache, the wire
  * protocol, and a live server end to end over a Unix-domain socket —
  * caching (with the bit-identity invariant verified), deadlines,
- * backpressure, oversized frames, stats, plain-HTTP /stats, and
- * graceful drain.
+ * backpressure, oversized frames, stats (including the remark
+ * counters a miss folds in), plain-HTTP /stats, modules too small to
+ * profile, and graceful drain.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -28,7 +31,9 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "support/remarks.h"
 #include "support/string_utils.h"
+#include "workloads/profiler.h"
 
 namespace treegion::service {
 namespace {
@@ -575,6 +580,101 @@ TEST_F(ServiceEndToEnd, BadRequestsAreErrors)
     Request ping;
     ping.verb = "ping";
     EXPECT_EQ(callOnce(ping).status, status::kOk);
+}
+
+TEST_F(ServiceEndToEnd, ModulesTooSmallToProfileAreErrors)
+{
+    startServer({});
+    // The profiler reserves workloads::kReservedWords at the top of
+    // memory; smaller images used to abort the whole daemon.
+    for (const char *mem : {"mem=10", "mem=0"}) {
+        Request small = compileRequest();
+        replaceAll(small.module_text, "mem=1024", mem);
+        const Response resp = callOnce(small);
+        EXPECT_EQ(resp.status, status::kError) << mem;
+        EXPECT_NE(resp.error.find(support::strprintf(
+                      "mem=%zu or more", workloads::kMinInputMemWords)),
+                  std::string::npos)
+            << resp.error;
+    }
+
+    // Without a profile the size does not matter.
+    Request unprofiled = compileRequest();
+    replaceAll(unprofiled.module_text, "mem=1024", "mem=10");
+    unprofiled.profile = false;
+    EXPECT_EQ(callOnce(unprofiled).status, status::kOk);
+
+    // The same server still compiles.
+    const Response ok = callOnce(compileRequest());
+    ASSERT_EQ(ok.status, status::kOk) << ok.error;
+    EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
+}
+
+TEST_F(ServiceEndToEnd, StatsRemarkCountersEqualFullStreams)
+{
+    // The miss path counts remarks without building them; /stats must
+    // still read exactly what full streams over the same compiles
+    // record, kind by kind.
+    startServer({});
+    std::map<std::string, uint64_t> expected;
+    uint64_t total = 0;
+    size_t compiles = 0;
+    for (const char *scheme : {"bb", "sb", "tree", "tree-td", "hyper"}) {
+        for (const uint64_t seed : {7u, 8u}) {
+            Request req = compileRequest();
+            req.options = support::strprintf(
+                "scheme=%s heuristic=gw width=4", scheme);
+            req.profile_seed = seed;
+            const Response resp = callOnce(req);
+            ASSERT_EQ(resp.status, status::kOk) << resp.error;
+            ASSERT_FALSE(resp.cached);
+            ++compiles;
+
+            std::unique_ptr<ir::Module> mod;
+            ir::Function fn = firstFunction(mod).clone();
+            workloads::ProfileOptions prof;
+            prof.input_seed = req.profile_seed;
+            prof.runs = req.profile_runs;
+            workloads::profileFunction(fn, mod->memWords(), prof);
+            sched::PipelineOptions options;
+            ASSERT_TRUE(sched::parsePipelineOptions(req.options, options));
+            support::RemarkStream full;
+            {
+                support::RemarkScope scope(&full);
+                sched::runPipeline(fn, options);
+            }
+            for (const support::Remark &r : full.remarks()) {
+                std::string name = std::string("remarks_") +
+                                   support::remarkKindName(r.kind);
+                std::replace(name.begin(), name.end(), '-', '_');
+                ++expected[name];
+            }
+            total += full.size();
+        }
+    }
+    EXPECT_EQ(compiles, 10u);
+    expected["remarks_total"] = total;
+    EXPECT_GT(total, 0u);
+
+    std::map<std::string, uint64_t> served;
+    for (const auto &[name, value] : server_->metrics().counters()) {
+        if (name.rfind("remarks_", 0) == 0)
+            served[name] = value;
+    }
+    EXPECT_EQ(served, expected);
+
+    // ...and the stats verb renders those same counters.
+    Request stats;
+    stats.verb = "stats";
+    const Response resp = callOnce(stats);
+    ASSERT_EQ(resp.status, status::kOk);
+    for (const auto &[name, value] : expected) {
+        EXPECT_NE(resp.body.find(support::strprintf(
+                      "\"%s\":%llu", name.c_str(),
+                      static_cast<unsigned long long>(value))),
+                  std::string::npos)
+            << name;
+    }
 }
 
 TEST_F(ServiceEndToEnd, DeadlineExpiredInQueueIsCancelled)

@@ -1,19 +1,25 @@
 /**
  * @file
  * Tail duplication tests: semantic preservation, profile flow
- * conservation, and the Fig. 12 example (duplicating a merge point
- * into a treegion).
+ * conservation, the Fig. 12 example (duplicating a merge point into a
+ * treegion), and predecessor lists kept current through every
+ * duplication and orphan removal.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "analysis/profile.h"
 #include "ir/builder.h"
 #include "region/formation.h"
+#include "region/tail_duplication.h"
 #include "vliw/interpreter.h"
 #include "workloads/profiler.h"
+#include "workloads/spec_proxy.h"
 #include "workloads/synthetic.h"
 
 namespace treegion::region {
@@ -252,6 +258,127 @@ TEST(TailDup, SemanticsPreservedOnGeneratedPrograms)
                 EXPECT_EQ(before.memory, after.memory);
             }
         }
+    }
+}
+
+/**
+ * Predecessor lists as a full rebuild makes them: for every
+ * live block, one entry per target slot of each predecessor, in
+ * ascending predecessor order.
+ */
+std::map<BlockId, std::vector<BlockId>>
+recountPreds(const Function &fn)
+{
+    std::map<BlockId, std::vector<BlockId>> preds;
+    fn.forEachBlock([&](const ir::BasicBlock &b) { preds[b.id()]; });
+    fn.forEachBlock([&](const ir::BasicBlock &b) {
+        for (const BlockId succ : b.successors()) {
+            if (succ != ir::kNoBlock)
+                preds[succ].push_back(b.id());
+        }
+    });
+    return preds;
+}
+
+/**
+ * Every block's maintained list equals the recount. Reads the lists
+ * through BasicBlock::preds(), which never rebuilds, so a list left
+ * stale by an edit fails here instead of being silently rebuilt.
+ */
+void
+expectPredsCurrent(const Function &fn, const std::string &where)
+{
+    for (const auto &[id, expected] : recountPreds(fn))
+        ASSERT_EQ(fn.block(id).preds(), expected) << where << ": bb" << id;
+}
+
+TEST(PredecessorLists, StayCurrentThroughRetargetsAndRemovals)
+{
+    // a -> (b | d); b -> (c | c); d -> c. c starts with [b, b, d]:
+    // a double edge, and an edit that must insert below the end.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    const BlockId b = bu.newBlock();
+    const BlockId c = bu.newBlock();
+    const BlockId d = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    const Reg x = bu.movi(3);
+    bu.condBr(CmpKind::LT, Builder::R(x), Builder::I(5), b, d);
+    bu.setInsertPoint(b);
+    bu.condBr(CmpKind::GT, Builder::R(x), Builder::I(1), c, c);
+    bu.setInsertPoint(d);
+    bu.bru(c);
+    bu.setInsertPoint(c);
+    bu.ret(Builder::R(x));
+
+    ASSERT_EQ(fn.predsOf(c), (std::vector<BlockId>{b, b, d}));
+    fn.retargetEdge(a, d, c);  // c gains a, ahead of b
+    expectPredsCurrent(fn, "retarget a->c");
+    fn.removeBlock(d);
+    expectPredsCurrent(fn, "remove d");
+    fn.retargetSlot(a, 0, c);
+    expectPredsCurrent(fn, "retarget slot 0");
+    fn.removeBlock(b);  // drops both of b's entries
+    expectPredsCurrent(fn, "remove b");
+    EXPECT_EQ(fn.block(c).preds(), (std::vector<BlockId>{a, a}));
+    const BlockId copy = fn.cloneBlock(a);
+    expectPredsCurrent(fn, "clone a");
+    EXPECT_EQ(fn.block(c).preds(), (std::vector<BlockId>{a, a, copy, copy}));
+}
+
+TEST(TailDuplicateEdge, KeepsPredecessorListsCurrentOnProxies)
+{
+    const RegionSet no_regions;
+    for (const auto &spec : workloads::specint95Proxies()) {
+        auto mod = workloads::buildProxy(spec);
+        Function fn = mod->function("main").clone();
+        workloads::profileFunction(fn, spec.params.mem_words);
+        fn.predsOf(fn.entry());  // build the lists once
+        expectPredsCurrent(fn, spec.name + " built");
+
+        // Take merge points apart edge by edge, as formation does,
+        // until the original is orphaned and swept; check after every
+        // duplication and every sweep.
+        size_t dups = 0;
+        for (BlockId id = 0; id < fn.numBlockIds() && dups < 150; ++id) {
+            if (!fn.hasBlock(id) || id == fn.entry() ||
+                !fn.isMergePoint(id))
+                continue;
+            while (fn.hasBlock(id) && !fn.predsOf(id).empty() &&
+                   dups < 150) {
+                const BlockId pred = fn.predsOf(id).back();
+                if (pred == id)
+                    break;  // a self-loop stays a loop
+                const auto &targets = fn.block(pred).terminator().targets;
+                const size_t slot = static_cast<size_t>(
+                    std::find(targets.begin(), targets.end(), id) -
+                    targets.begin());
+                tailDuplicateEdge(fn, pred, slot);
+                ++dups;
+                expectPredsCurrent(fn, spec.name + " dup " +
+                                           std::to_string(dups));
+            }
+            if (fn.hasBlock(id) && fn.predsOf(id).empty()) {
+                orphanSweep(fn, no_regions, id);
+                EXPECT_FALSE(fn.hasBlock(id)) << spec.name;
+                expectPredsCurrent(fn, spec.name + " sweep");
+            }
+        }
+        EXPECT_GT(dups, 0u) << spec.name;
+        // A clone carries the current lists with it.
+        expectPredsCurrent(fn.clone(), spec.name + " clone");
+
+        // Both tail-duplicating formations leave them current too.
+        Function tree = mod->function("main").clone();
+        workloads::profileFunction(tree, spec.params.mem_words);
+        formTreegionsTailDup(tree, {});
+        expectPredsCurrent(tree, spec.name + " tree-td");
+        Function sb = mod->function("main").clone();
+        workloads::profileFunction(sb, spec.params.mem_words);
+        formSuperblocks(sb, {});
+        expectPredsCurrent(sb, spec.name + " sb");
     }
 }
 

@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <climits>
+#include <vector>
+
 #include "analysis/profile.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "region/formation.h"
 #include "region/region_stats.h"
+#include "support/hash.h"
+#include "support/rng.h"
 #include "vliw/interpreter.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
@@ -99,6 +106,43 @@ TEST(Generator, InputMemoryLayout)
         EXPECT_EQ(mem[i], 0);
 }
 
+TEST(Generator, BatchedDrawEqualsRepeatedNextRange)
+{
+    // makeInputMemory draws each image through Rng::fillRange; it
+    // must yield exactly the values, and leave exactly the generator
+    // state, of one nextRange call per word. The spans cover the
+    // mask path (powers of two), the reciprocal divider on both of
+    // its paths, the 2^64 span (no reduction) and offset ranges.
+    struct Case
+    {
+        int64_t lo, hi;
+    };
+    const Case cases[] = {
+        {0, 0},                      // span 1
+        {0, 1},                      // span 2
+        {0, 99},                     // span 100, the profiler's
+        {0, (int64_t{1} << 32) - 1}, // span 2^32
+        {0, 2},         {-5, 1001},  {7, 7 + 640'320},
+        {0, (int64_t{1} << 32)},     // span 2^32 + 1
+        {0, INT64_MAX},              // span 2^63
+        {-3, INT64_MAX - 4},         // span 2^63 - 1
+        {INT64_MIN / 2, INT64_MAX / 2 + 12345},
+        {INT64_MIN, INT64_MAX},      // span 2^64
+    };
+    for (const Case &c : cases) {
+        for (const uint64_t seed : {1u, 42u, 0x9e3779b9u}) {
+            support::Rng one(seed), batch(seed);
+            std::vector<int64_t> expected(3840), got(3840);
+            for (int64_t &v : expected)
+                v = one.nextRange(c.lo, c.hi);
+            batch.fillRange(got.data(), got.size(), c.lo, c.hi);
+            EXPECT_EQ(got, expected) << c.lo << ".." << c.hi;
+            // Same final state: the next draws agree too.
+            EXPECT_EQ(batch.next(), one.next()) << c.lo << ".." << c.hi;
+        }
+    }
+}
+
 TEST(Proxies, EightBenchmarksInPaperOrder)
 {
     const auto proxies = specint95Proxies();
@@ -166,6 +210,65 @@ TEST(Proxies, ProfilesAreConsistentAndInputDependent)
     profileFunction(fn, spec.params.mem_words, reference);
     const double w_ref = analysis::weightedOpCount(fn);
     EXPECT_NE(w_train, w_ref);
+}
+
+/** FNV-1a over every live block's id, weight and edge weights, with
+ * the doubles hashed as bit patterns. */
+uint64_t
+profileDigest(const ir::Function &fn)
+{
+    uint64_t hash = support::kFnvOffsetBasis;
+    auto mix = [&](auto value) {
+        const auto bits = std::bit_cast<std::array<char, sizeof value>>(
+            value);
+        hash = support::fnv1a64({bits.data(), bits.size()}, hash);
+    };
+    fn.forEachBlock([&](const ir::BasicBlock &b) {
+        mix(b.id());
+        mix(b.weight());
+        mix(b.edgeWeights().size());
+        for (const double w : b.edgeWeights())
+            mix(w);
+    });
+    return hash;
+}
+
+TEST(Proxies, ProfileWeightsArePinned)
+{
+    // Every proxy's block and edge weights under the default 20-run
+    // training profile, and the dynamic op count behind them, as
+    // produced before the profiler moved to dense counters and a
+    // batched input draw. Any drift in the input stream, the
+    // interpreter or the counting shows up here bit for bit.
+    struct Pin
+    {
+        const char *name;
+        uint64_t digest;
+        uint64_t dyn_ops;
+    };
+    const Pin pins[] = {
+        {"compress", 0xc02c7ffc177cddbbull, 10753},
+        {"gcc", 0x498c969f19811ed5ull, 51933},
+        {"go", 0xf7b149f1a55def56ull, 38396},
+        {"ijpeg", 0x7c903fbf78c1f052ull, 34101},
+        {"li", 0x9d1c7f491447c692ull, 13363},
+        {"m88ksim", 0x0df1aa3ba6662002ull, 31251},
+        {"perl", 0x1b5ceb0cd5036af8ull, 68136},
+        {"vortex", 0x74f36052d97c9babull, 36606},
+    };
+    const auto proxies = specint95Proxies();
+    ASSERT_EQ(proxies.size(), std::size(pins));
+    for (size_t i = 0; i < proxies.size(); ++i) {
+        auto mod = buildProxy(proxies[i]);
+        ir::Function &fn = mod->function("main");
+        const ProfileSummary summary =
+            profileFunction(fn, proxies[i].params.mem_words);
+        EXPECT_EQ(proxies[i].name, pins[i].name);
+        EXPECT_EQ(summary.completed_runs, 20) << pins[i].name;
+        EXPECT_EQ(summary.total_ops, pins[i].dyn_ops) << pins[i].name;
+        EXPECT_EQ(profileDigest(fn), pins[i].digest)
+            << pins[i].name << std::hex << " 0x" << profileDigest(fn);
+    }
 }
 
 TEST(Proxies, GccHasZeroWeightSwitchArms)

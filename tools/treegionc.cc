@@ -129,6 +129,18 @@ struct CliOptions
     std::string flightrec_path;
 };
 
+/**
+ * "2.54x", or "n/a" when @p estimate is 0: a profile with all-zero
+ * weights estimates 0 cycles for every scheme, and 0/0 is no speedup.
+ */
+std::string
+speedupText(double baseline, double estimate)
+{
+    return estimate > 0.0
+               ? support::strprintf("%.2fx", baseline / estimate)
+               : "n/a";
+}
+
 /** Write @p jsonl to @p path ("-" = stdout). @return false on error. */
 bool
 writeRemarks(const std::string &path, const std::string &jsonl)
@@ -319,11 +331,12 @@ runBatch(const std::vector<ir::Function *> &fns, const CliOptions &cli)
         char line[256];
         std::snprintf(line, sizeof line,
                       "%-28s %4zu regions  %10.0f cycles  "
-                      "speedup %5.2fx%s\n",
+                      "speedup %6s%s\n",
                       jr.label.c_str(),
                       jr.result.schedule.regions.size(),
                       jr.result.estimated_time,
-                      baseline / jr.result.estimated_time,
+                      speedupText(baseline, jr.result.estimated_time)
+                          .c_str(),
                       problems.empty() ? "" : "  [VERIFY FAILED]");
         report_lines[i] = line;
         if (cli.stats) {
@@ -534,6 +547,15 @@ main(int argc, char **argv)
         std::fprintf(stderr, "parse error: %s\n", error.c_str());
         return 1;
     }
+    if ((cli.do_profile || cli.run) &&
+        mod->memWords() < workloads::kMinInputMemWords) {
+        std::fprintf(stderr,
+                     "mem=%zu is too small to %s: it needs mem=%zu or "
+                     "more\n",
+                     mod->memWords(), cli.do_profile ? "profile" : "run",
+                     workloads::kMinInputMemWords);
+        return 1;
+    }
 
     // ---- Select, verify and profile the functions to compile.
     std::vector<ir::Function *> fns;
@@ -621,13 +643,13 @@ main(int argc, char **argv)
 
     std::fprintf(stderr,
                  "%s/%s on %s: %zu regions, estimate %.0f cycles, "
-                 "speedup %.2fx over bb@1U\n",
+                 "speedup %s over bb@1U\n",
                  sched::regionSchemeName(cli.pipeline.scheme).c_str(),
                  sched::heuristicName(cli.pipeline.sched.heuristic)
                      .c_str(),
                  cli.pipeline.model.name.c_str(),
                  result.schedule.regions.size(), result.estimated_time,
-                 baseline / result.estimated_time);
+                 speedupText(baseline, result.estimated_time).c_str());
 
     if (cli.stats) {
         std::fprintf(stderr,
