@@ -202,6 +202,8 @@ class Verifier
     void
     checkSchedulable(const BasicBlock &b)
     {
+        if (!b.hasTerminator())
+            return;  // checkBlock already reported it
         // Collect predicate defs in this block.
         std::unordered_map<uint32_t, size_t> pred_def_idx;
         for (size_t i = 0; i < b.ops().size(); ++i) {
@@ -242,7 +244,7 @@ class Verifier
                 err(strprintf("bb%u: sequential conditional branch "
                               "needs taken and fall targets", b.id()));
             }
-            const Reg cond = term.srcs[0].reg;
+            const Reg cond = term.srcs.empty() ? Reg{} : term.srcs[0].reg;
             if (!pred_def_idx.count(cond.idx)) {
                 err(strprintf("bb%u: branch condition p%u not defined "
                               "by a CMPP in the same block", b.id(),

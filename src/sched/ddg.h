@@ -17,22 +17,32 @@
  *    copy's source to the exit branch: latency = producer latency - 1
  *    (the value must be architecturally visible when the next region
  *    starts one cycle after the exit).
- *  - Virtual control edges from each exit branch to every op homed
- *    strictly below the branch's block. These never constrain the
- *    scheduler (speculation breaks control dependences); they exist
- *    so dependence heights match the classic control+data DAG, in
- *    which a branch's height covers the code it controls and exits
- *    near the root rank high under the dependence-height heuristic.
+ *
+ * Control dependence is a height rule, not stored edges: an exit
+ * branch's dependence height also covers 1 + the tallest op homed
+ * strictly below its block, exactly as if the classic control+data
+ * DAG had an edge from the branch to every op it controls (so exits
+ * near the root rank high under the dependence-height heuristic).
+ * Those edges never constrain the scheduler (speculation breaks
+ * control dependences), so storing them would only cost the
+ * placement loops a skip per edge.
  *
  * The region's internal control structure comes from
  * LoweredRegion::succs_in_region — a tree for treegions and linear
  * regions, a DAG for hyperblocks — so this graph (and hence the list
  * scheduler) is agnostic to the region type.
  *
+ * Cost follows the region, not the function: the definition table is
+ * keyed by each register class's [lo, hi] range of the region's own
+ * destinations (lowering allocates them consecutively), never by the
+ * function's register count, and parallel edges are merged with a
+ * stamp table in linear time.
+ *
  * Storage: everything lives in a caller-provided per-job arena (see
- * DESIGN.md §11) — dense adjacency lists of POD edges, no per-node
- * heap traffic. The one-argument constructor owns a private arena for
- * convenience in tests and one-off tools.
+ * DESIGN.md §11) — per-node successor lists of POD edges and, once
+ * they are merged, their predecessor mirror as one CSR array; no
+ * per-node heap traffic. The one-argument constructor owns a private
+ * arena for convenience in tests and one-off tools.
  */
 
 #ifndef TREEGION_SCHED_DDG_H
@@ -54,10 +64,6 @@ struct DdgEdge
     int32_t latency;     ///< minimum cycle distance (0 = same cycle ok)
     bool slot_ordered;   ///< 0-latency edges that additionally require
                          ///< earlier-slot placement when sharing a cycle
-    bool virtual_ctrl;   ///< control edge kept only for dependence
-                         ///< heights; speculation is allowed to break
-                         ///< it, so the scheduler ignores it for
-                         ///< legality
 };
 
 /** Dependence graph for one lowered region. */
@@ -85,13 +91,14 @@ class Ddg
     support::Span<DdgEdge>
     preds(size_t i) const
     {
-        return {preds_[i].data, preds_[i].size};
+        return {pred_list_ + pred_off_[i], pred_off_[i + 1] - pred_off_[i]};
     }
 
     /**
      * Dependence height of node @p i: the critical-path length (in
      * cycles) from the node to any sink, inclusive of its own
-     * latency.
+     * latency, with exit branches covering the ops they control (see
+     * the file header).
      */
     int height(size_t i) const { return heights_[i]; }
 
@@ -121,20 +128,20 @@ class Ddg
     void build(const LoweredRegion &lowered, const RegionIndex &index,
                support::Arena &arena);
 
+    /** Successor side only; preds are mirrored once succs are final. */
     void
     addEdge(support::Arena &arena, size_t from, size_t to, int latency,
-            bool slot_ordered, bool virtual_ctrl = false)
+            bool slot_ordered)
     {
         TG_ASSERT(from != to);
         succs_[from].push(arena, {static_cast<uint32_t>(to), latency,
-                                  slot_ordered, virtual_ctrl});
-        preds_[to].push(arena, {static_cast<uint32_t>(from), latency,
-                                slot_ordered, virtual_ctrl});
+                                  slot_ordered});
     }
 
     size_t n_ = 0;
     EdgeList *succs_ = nullptr;
-    EdgeList *preds_ = nullptr;
+    uint32_t *pred_off_ = nullptr;  ///< CSR mirror of succs_
+    DdgEdge *pred_list_ = nullptr;
     int32_t *heights_ = nullptr;
 
     /** Backing storage for the convenience constructor only. */

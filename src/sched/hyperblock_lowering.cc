@@ -42,7 +42,7 @@ class HyperLowerer
   public:
     HyperLowerer(ir::Function &fn, const region::Region &r,
                  const analysis::Liveness &live)
-        : fn_(fn), region_(r), live_(live), table_(fn)
+        : fn_(fn), region_(r), live_(live)
     {
         out_.root = r.root();
     }

@@ -8,6 +8,7 @@
 
 #include "sched/ddg.h"
 #include "sched/hyperblock_lowering.h"
+#include "sched/rename_table.h"
 #include "support/arena.h"
 #include "support/logging.h"
 #include "support/remarks.h"
@@ -116,8 +117,6 @@ class Scheduler
         if (!has_slot_pred_[i])
             return true;
         for (const DdgEdge &e : ddg_.preds(i)) {
-            if (e.virtual_ctrl)
-                continue;  // priority-only: speculation may break it
             const auto [pc, ps] = position(e.other);
             if (e.latency > 0) {
                 if (cycle < pc + e.latency)
@@ -219,8 +218,6 @@ class Scheduler
         int mc = 0;
         bool has_slot = false;
         for (const DdgEdge &e : ddg_.preds(i)) {
-            if (e.virtual_ctrl)
-                continue;
             const auto [pc, ps] = position(e.other);
             (void)ps;
             mc = std::max(mc, e.latency > 0 ? pc + e.latency : pc);
@@ -239,8 +236,6 @@ class Scheduler
         const uint32_t r = rank_of_[i];
         cand_[r >> 6] &= ~(1ull << (r & 63));
         for (const DdgEdge &e : ddg_.succs(i)) {
-            if (e.virtual_ctrl)
-                continue;
             if (--pending_[e.other] == 0)
                 onPredComplete(e.other);
         }
@@ -441,16 +436,10 @@ Scheduler::place()
         }
     }
 
-    // Pending-predecessor counts over real (non-virtual) edges; the
-    // pred/succ lists are symmetrically deduped, so decrements match.
-    for (size_t i = 0; i < n; ++i) {
-        int32_t count = 0;
-        for (const DdgEdge &e : ddg_.preds(i)) {
-            if (!e.virtual_ctrl)
-                ++count;
-        }
-        pending_[i] = count;
-    }
+    // Pending-predecessor counts; the pred lists mirror the succ
+    // lists exactly, so retire()'s decrements match.
+    for (size_t i = 0; i < n; ++i)
+        pending_[i] = static_cast<int32_t>(ddg_.preds(i).size());
     for (size_t i = 0; i < n; ++i) {
         if (pending_[i] == 0)
             onPredComplete(static_cast<uint32_t>(i));
@@ -653,6 +642,7 @@ void
 schedArenaTrim()
 {
     schedArena().trim();
+    RenameTable::trimThreadStorage();
 }
 
 RegionSchedule

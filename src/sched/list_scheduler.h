@@ -93,11 +93,12 @@ void reportArenaMetrics(support::MetricsRegistry &metrics);
 uint64_t schedArenaHighWaterBytes();
 
 /**
- * Return the calling thread's scheduling arena to the allocator
- * (support::Arena::trim). Memory-budgeted drivers call this after
- * every job, before releasing the job's gate reservation, so a
- * worker's retained arena cannot accumulate outside the budget; the
- * next job on this thread regrows the arena from scratch.
+ * Return the calling thread's scheduling arena (support::Arena::trim)
+ * and its lowering rename-table storage to the allocator.
+ * Memory-budgeted drivers call this after every job, before releasing
+ * the job's gate reservation, so a worker's retained scratch cannot
+ * accumulate outside the budget; the next job on this thread regrows
+ * it from scratch.
  */
 void schedArenaTrim();
 

@@ -31,7 +31,7 @@ class Lowerer
   public:
     Lowerer(ir::Function &fn, const region::Region &r,
             const analysis::Liveness &live, const LowerOptions &options)
-        : fn_(fn), region_(r), live_(live), options_(options), map_(fn)
+        : fn_(fn), region_(r), live_(live), options_(options)
     {
         out_.root = r.root();
     }
@@ -390,28 +390,6 @@ class Lowerer
 };
 
 } // namespace
-
-std::vector<ir::BlockId>
-LoweredRegion::reachableFrom(ir::BlockId id) const
-{
-    std::vector<ir::BlockId> out;
-    std::unordered_map<ir::BlockId, bool> seen;
-    std::vector<ir::BlockId> stack = {id};
-    while (!stack.empty()) {
-        const ir::BlockId cur = stack.back();
-        stack.pop_back();
-        if (seen[cur])
-            continue;
-        seen[cur] = true;
-        out.push_back(cur);
-        auto it = succs_in_region.find(cur);
-        if (it != succs_in_region.end()) {
-            for (const ir::BlockId succ : it->second)
-                stack.push_back(succ);
-        }
-    }
-    return out;
-}
 
 LoweredRegion
 lowerRegion(ir::Function &fn, const region::Region &r,

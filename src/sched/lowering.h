@@ -109,10 +109,6 @@ struct LoweredRegion
      */
     std::unordered_map<ir::BlockId, std::vector<ir::BlockId>>
         succs_in_region;
-
-    /** Blocks reachable from @p id through succs_in_region,
-     * including @p id itself. */
-    std::vector<ir::BlockId> reachableFrom(ir::BlockId id) const;
 };
 
 /**

@@ -14,7 +14,7 @@ namespace {
  * Linear model coefficients, fit over the SPEC proxy sweep's
  * (shape, measured peak) pairs printed by
  * bench/throughput_memsched.cc --calibrate, then rounded UP so the
- * projection sits ~1.2-1.5x above the measured peak for every tree
+ * projection sits ~1.15-1.5x above the measured peak for every tree
  * and tree-td calibration point (the golden corpus's schemes) —
  * comfortably inside the 2x bound tests/mem_estimate_test.cc pins,
  * while never under-projecting. Bytes.
@@ -60,8 +60,8 @@ schemeFactor(const PipelineOptions &options)
           // Transient footprint tracks the allowed code expansion,
           // floored at the factor calibration measured for the
           // default limits.
-          const double factor = 0.95 * options.tail_dup.expansion_limit;
-          return factor > 1.9 ? factor : 1.9;
+          const double factor = 0.9 * options.tail_dup.expansion_limit;
+          return factor > 1.8 ? factor : 1.8;
       }
       case RegionScheme::Hyperblock:
           // Hyper's slope lives in kHyperPerOpBytes (see above);

@@ -1,5 +1,7 @@
 #include "sched/region_index.h"
 
+#include <algorithm>
+
 #include "support/logging.h"
 
 namespace treegion::sched {
@@ -13,10 +15,13 @@ RegionIndex::RegionIndex(const LoweredRegion &lowered,
     // Member blocks: succs_in_region keys and values, op homes, exit
     // sources. (Both lowerings key every member block, but belt and
     // braces costs nothing here.)
+    BlockId min_id = lowered.root;
     BlockId max_id = lowered.root;
-    auto raise = [&max_id](BlockId id) {
-        if (id != ir::kNoBlock && id > max_id)
-            max_id = id;
+    auto raise = [&](BlockId id) {
+        if (id == ir::kNoBlock)
+            return;
+        min_id = std::min(min_id, id);
+        max_id = std::max(max_id, id);
     };
     for (const auto &[block, succs] : lowered.succs_in_region) {
         raise(block);
@@ -28,31 +33,32 @@ RegionIndex::RegionIndex(const LoweredRegion &lowered,
     for (const LoweredExit &exit : lowered.exits)
         raise(exit.from);
 
-    map_size_ = static_cast<size_t>(max_id) + 1;
+    map_lo_ = min_id;
+    map_size_ = static_cast<size_t>(max_id - min_id) + 1;
     block_index_ = arena.allocFilled<uint32_t>(map_size_, kInvalid);
 
     uint8_t *member = arena.allocZeroed<uint8_t>(map_size_);
-    member[lowered.root] = 1;
+    member[lowered.root - min_id] = 1;
     for (const auto &[block, succs] : lowered.succs_in_region) {
-        member[block] = 1;
+        member[block - min_id] = 1;
         for (const BlockId succ : succs)
-            member[succ] = 1;
+            member[succ - min_id] = 1;
     }
     for (const LoweredOp &op : lowered.ops)
-        member[op.home] = 1;
+        member[op.home - min_id] = 1;
     for (const LoweredExit &exit : lowered.exits)
-        member[exit.from] = 1;
+        member[exit.from - min_id] = 1;
 
     // Dense indices in ascending BlockId order: deterministic and
     // independent of hash-map iteration order.
-    for (size_t id = 0; id < map_size_; ++id) {
-        if (member[id])
-            block_index_[id] = static_cast<uint32_t>(num_blocks_++);
+    for (size_t off = 0; off < map_size_; ++off) {
+        if (member[off])
+            block_index_[off] = static_cast<uint32_t>(num_blocks_++);
     }
     blocks_ = arena.allocArray<BlockId>(num_blocks_);
-    for (size_t id = 0; id < map_size_; ++id) {
-        if (member[id])
-            blocks_[block_index_[id]] = static_cast<BlockId>(id);
+    for (size_t off = 0; off < map_size_; ++off) {
+        if (member[off])
+            blocks_[block_index_[off]] = static_cast<BlockId>(min_id + off);
     }
 
     // Successor CSR (each list keeps its lowering order).
@@ -111,10 +117,8 @@ void
 RegionIndex::reachableFrom(uint32_t bi,
                            support::ArenaVector<uint32_t> &out) const
 {
-    // Mirrors LoweredRegion::reachableFrom exactly: explicit stack,
-    // successors pushed in list order, visited check at pop. Output
-    // order must match byte for byte (DDG virtual-edge emission and
-    // exit counting both derive from it).
+    // Explicit stack, visited check at pop (a DAG region reaches a
+    // merge block along several paths).
     uint8_t *seen = arena_->allocZeroed<uint8_t>(num_blocks_);
     support::ArenaVector<uint32_t> stack(*arena_);
     stack.push_back(bi);

@@ -8,7 +8,9 @@
  * member blocks as contiguous small integers and rebuilds the
  * per-block facts (in-region successors, homed ops, exits) as CSR
  * arrays in a per-job arena — every lookup the DDG walks and the
- * priority pass perform becomes an array index (DESIGN.md §11).
+ * priority pass perform becomes an array index (DESIGN.md §11). The
+ * BlockId map spans only the region's own [lowest, highest] member
+ * ids, not the function's block count.
  */
 
 #ifndef TREEGION_SCHED_REGION_INDEX_H
@@ -36,7 +38,8 @@ class RegionIndex
     uint32_t
     indexOf(ir::BlockId id) const
     {
-        return id < map_size_ ? block_index_[id] : kInvalid;
+        const uint32_t off = id - map_lo_;  // wraps below map_lo_
+        return off < map_size_ ? block_index_[off] : kInvalid;
     }
 
     /** @return the BlockId of dense index @p bi. */
@@ -67,9 +70,8 @@ class RegionIndex
 
     /**
      * Append every block reachable from @p bi through in-region
-     * successors — including @p bi — to @p out, in the exact order
-     * LoweredRegion::reachableFrom() produces for the same block.
-     * Scratch comes from the index's arena.
+     * successors — including @p bi — to @p out, each once. Scratch
+     * comes from the index's arena.
      */
     void reachableFrom(uint32_t bi,
                        support::ArenaVector<uint32_t> &out) const;
@@ -77,8 +79,9 @@ class RegionIndex
   private:
     support::Arena *arena_;
     size_t num_blocks_ = 0;
+    ir::BlockId map_lo_ = 0;      ///< smallest member BlockId
     size_t map_size_ = 0;         ///< block_index_ length
-    uint32_t *block_index_ = nullptr;
+    uint32_t *block_index_ = nullptr;  ///< by BlockId - map_lo_
     ir::BlockId *blocks_ = nullptr;
     uint32_t *succ_off_ = nullptr;
     uint32_t *succ_list_ = nullptr;

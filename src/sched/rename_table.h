@@ -13,6 +13,15 @@
  * (DESIGN.md §11; ROADMAP item 3's follow-on ported the hyperblock
  * lowering here too).
  *
+ * Storage is per thread and outlives the table: the slot arrays grow
+ * to the largest original register index ever renamed on the thread
+ * and are reused by every later region, so a region's cost follows
+ * its own renames, not the function's register count. The destructor
+ * rolls the journal back to empty, which leaves every slot absent for
+ * the next table. One table may be live per thread at a time (it is
+ * not re-entrant; the constructor asserts). trimThreadStorage()
+ * returns the memory, next to the scheduling arena's trim.
+ *
  * Iteration (forEachPresent) is in key insertion order — a property
  * the hyperblock merge relies on for deterministic, platform-
  * independent output where the old unordered containers were not.
@@ -25,7 +34,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ir/function.h"
+#include "ir/operand.h"
 #include "support/logging.h"
 
 namespace treegion::sched {
@@ -34,18 +43,26 @@ namespace treegion::sched {
 class RenameTable
 {
   public:
-    explicit RenameTable(const ir::Function &fn)
+    RenameTable() : s_(threadStorage())
     {
-        slots_[slotClass(ir::RegClass::Gpr)].resize(fn.numGprs());
-        slots_[slotClass(ir::RegClass::Pred)].resize(fn.numPreds());
-        slots_[slotClass(ir::RegClass::Btr)].resize(fn.numBtrs());
+        TG_ASSERT(!s_.in_use && "RenameTable is not re-entrant");
+        s_.in_use = true;
     }
+
+    ~RenameTable()
+    {
+        rollback(0);
+        s_.in_use = false;
+    }
+
+    RenameTable(const RenameTable &) = delete;
+    RenameTable &operator=(const RenameTable &) = delete;
 
     /** @return the current renaming of @p orig, or nullptr. */
     const ir::Reg *
     find(ir::Reg orig) const
     {
-        const auto &slots = slots_[slotClass(orig.cls)];
+        const auto &slots = s_.slots[slotClass(orig.cls)];
         if (orig.idx >= slots.size() || !slots[orig.idx].present)
             return nullptr;
         return &slots[orig.idx].val;
@@ -55,36 +72,36 @@ class RenameTable
     void
     set(ir::Reg orig, ir::Reg renamed)
     {
-        auto &slots = slots_[slotClass(orig.cls)];
+        auto &slots = s_.slots[slotClass(orig.cls)];
         if (orig.idx >= slots.size())
             slots.resize(orig.idx + 1);
         Entry &entry = slots[orig.idx];
-        journal_.push_back({orig, entry.val, entry.present != 0});
+        s_.journal.push_back({orig, entry.val, entry.present != 0});
         if (!entry.present)
-            keys_.push_back(orig);
+            s_.keys.push_back(orig);
         entry.val = renamed;
         entry.present = 1;
     }
 
     /** Undo point for rollback(). */
-    size_t mark() const { return journal_.size(); }
+    size_t mark() const { return s_.journal.size(); }
 
     /** Restore the table to the state at @p mark. */
     void
     rollback(size_t mark)
     {
-        while (journal_.size() > mark) {
-            const Undo &undo = journal_.back();
+        while (s_.journal.size() > mark) {
+            const Undo &undo = s_.journal.back();
             Entry &entry =
-                slots_[slotClass(undo.orig.cls)][undo.orig.idx];
+                s_.slots[slotClass(undo.orig.cls)][undo.orig.idx];
             if (undo.was_present) {
                 entry.val = undo.prev;
             } else {
                 entry.present = 0;
-                TG_ASSERT(!keys_.empty() && keys_.back() == undo.orig);
-                keys_.pop_back();
+                TG_ASSERT(!s_.keys.empty() && s_.keys.back() == undo.orig);
+                s_.keys.pop_back();
             }
-            journal_.pop_back();
+            s_.journal.pop_back();
         }
     }
 
@@ -93,10 +110,22 @@ class RenameTable
     void
     forEachPresent(F &&f) const
     {
-        for (const ir::Reg orig : keys_) {
-            const auto &slots = slots_[slotClass(orig.cls)];
+        for (const ir::Reg orig : s_.keys) {
+            const auto &slots = s_.slots[slotClass(orig.cls)];
             f(orig, slots[orig.idx].val);
         }
+    }
+
+    /**
+     * Return this thread's slot storage to the heap. No table may be
+     * live on the thread.
+     */
+    static void
+    trimThreadStorage()
+    {
+        Storage &s = threadStorage();
+        TG_ASSERT(!s.in_use);
+        s = Storage{};
     }
 
   private:
@@ -111,6 +140,21 @@ class RenameTable
         ir::Reg prev;
         bool was_present;
     };
+    /** Per-thread backing store; empty whenever no table is live. */
+    struct Storage
+    {
+        std::vector<Entry> slots[3];
+        std::vector<ir::Reg> keys;  ///< present keys, oldest first
+        std::vector<Undo> journal;
+        bool in_use = false;
+    };
+
+    static Storage &
+    threadStorage()
+    {
+        static thread_local Storage storage;
+        return storage;
+    }
 
     static size_t
     slotClass(ir::RegClass cls)
@@ -118,9 +162,7 @@ class RenameTable
         return static_cast<size_t>(cls);
     }
 
-    std::vector<Entry> slots_[3];
-    std::vector<ir::Reg> keys_;  ///< present keys, oldest first
-    std::vector<Undo> journal_;
+    Storage &s_;
 };
 
 } // namespace treegion::sched

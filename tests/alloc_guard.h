@@ -10,10 +10,10 @@
  * binary (a second inclusion fails the link with duplicate symbols —
  * deliberately).
  *
- * Only allocations are counted, not frees: the steady-state property
- * under test is "the scheduler performs no heap allocation", and
- * tearing down inputs that were built before the guard started is
- * legitimate.
+ * Only allocations (and their requested bytes) are counted, not
+ * frees: the steady-state property under test is "the scheduler
+ * performs no heap allocation", and tearing down inputs that were
+ * built before the guard started is legitimate.
  *
  * The interposer additionally forwards every allocation and free
  * (with its usable size) to support/memstat.h, which is how the
@@ -37,6 +37,7 @@
 namespace tg_test {
 
 inline std::atomic<uint64_t> g_allocations{0};
+inline std::atomic<uint64_t> g_allocated_bytes{0};
 inline std::atomic<bool> g_counting{false};
 
 /** RAII window during which global allocations are counted. */
@@ -44,7 +45,8 @@ class AllocGuard
 {
   public:
     AllocGuard()
-        : start_(g_allocations.load(std::memory_order_relaxed))
+        : start_(g_allocations.load(std::memory_order_relaxed)),
+          start_bytes_(g_allocated_bytes.load(std::memory_order_relaxed))
     {
         g_counting.store(true, std::memory_order_relaxed);
     }
@@ -64,15 +66,26 @@ class AllocGuard
         return g_allocations.load(std::memory_order_relaxed) - start_;
     }
 
+    /** Bytes requested by those allocations. */
+    uint64_t
+    bytes() const
+    {
+        return g_allocated_bytes.load(std::memory_order_relaxed) -
+               start_bytes_;
+    }
+
   private:
     uint64_t start_;
+    uint64_t start_bytes_;
 };
 
 inline void *
 countedAlloc(std::size_t size, std::size_t align) noexcept
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_allocations.fetch_add(1, std::memory_order_relaxed);
+        g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+    }
     if (size == 0)
         size = 1;
     void *p;

@@ -9,6 +9,10 @@
  * runPlacementProbe, and check the arena's aggregate gauges are
  * reported through support::MetricsRegistry.
  *
+ * A second pin keeps per-region cost independent of the function's
+ * register count: a tiny region of a function that has allocated a
+ * million registers must lower and schedule in bounded scratch.
+ *
  * Remarks and tracing stay disabled here: both are opt-in observers
  * that legitimately allocate, and the steady-state property concerns
  * production (observer-free) compiles.
@@ -19,10 +23,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/liveness.h"
+#include "ir/function.h"
 #include "region/formation.h"
 #include "sched/list_scheduler.h"
 #include "support/flightrec.h"
@@ -96,6 +102,70 @@ TEST(AllocRegression, SteadyStateSchedulingIsHeapFree)
     EXPECT_EQ(replay_lengths, warm_lengths);
     for (const int length : warm_lengths)
         EXPECT_GT(length, 0);
+}
+
+/**
+ * Lowering and scheduling one region must cost O(region size), not
+ * O(function registers). A compile keeps allocating fresh registers
+ * (every region renames every definition), so a function grows from
+ * hundreds to thousands of GPRs while 34-112 regions are lowered; a
+ * per-region table sized by the register count pays that growth once
+ * per region. Here a 3-op region of a function holding a million GPRs
+ * and 100k predicates must stay within a fixed scratch bound: the DDG
+ * definition table is keyed by the region's own destinations and the
+ * rename table reuses per-thread slots sized by the original
+ * registers it maps.
+ */
+TEST(AllocRegression, RegionCostIgnoresFunctionRegisterCount)
+{
+    constexpr uint64_t kBound = 256 * 1024;
+
+    ir::Function fn("f");
+    const ir::BlockId entry = fn.createBlock();
+    fn.setEntry(entry);
+    const ir::Reg x = fn.freshGpr();
+    const ir::Reg y = fn.freshGpr();
+    fn.appendOp(entry, ir::makeMovi(x, 7));
+    fn.appendOp(entry, ir::makeBinary(ir::Opcode::ADD, y,
+                                      ir::Operand::makeReg(x),
+                                      ir::Operand::makeImm(1)));
+    fn.appendTerminator(entry, ir::makeRet(ir::Operand::makeReg(y)));
+    const analysis::Liveness live(fn);
+    const region::RegionSet set = region::formTreegions(fn);
+    ASSERT_EQ(set.regions().size(), 1u);
+    const region::Region &r = set.regions().front();
+
+    const MachineModel model = MachineModel::custom(4);
+    const SchedOptions options;
+    uint64_t arena_high_water = 0;
+    uint64_t heap_bytes = 0;
+    size_t ops = 0;
+    // A fresh thread starts with an empty scheduling arena and rename
+    // storage, so the high water read below is this test's alone.
+    std::thread worker([&] {
+        // Warm-up at the function's original size: the arena's first
+        // block and the rename slots for x and y are grown here.
+        scheduleLoweredRegion(fn, lowerRegion(fn, r, live), model,
+                              options);
+        for (int i = 0; i < 1000000; ++i)
+            fn.freshGpr();
+        for (int i = 0; i < 100000; ++i)
+            fn.freshPred();
+        tg_test::AllocGuard guard;
+        LoweredRegion lowered = lowerRegion(fn, r, live);
+        ops = scheduleLoweredRegion(fn, std::move(lowered), model,
+                                    options)
+                  .ops.size();
+        heap_bytes = guard.bytes();
+        arena_high_water = schedArenaHighWaterBytes();
+    });
+    worker.join();
+
+    EXPECT_EQ(ops, 3u);
+    EXPECT_LT(arena_high_water, kBound)
+        << "scheduling arena grew with the function's register count";
+    EXPECT_LT(heap_bytes, kBound)
+        << "lowering or scheduling allocated by register count";
 }
 
 /**

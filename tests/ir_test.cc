@@ -241,13 +241,18 @@ TEST(Verifier, AcceptsWellFormed)
 
 TEST(Verifier, RejectsMissingTerminator)
 {
-    Function fn("f");
-    const BlockId a = fn.createBlock();
-    fn.setEntry(a);
-    fn.appendOp(a, makeMovi(gpr(0), 1));
-    const auto problems = verifyFunction(fn, VerifyLevel::Structural);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("no terminator"), std::string::npos);
+    // The schedulable checks must report, not abort on, a block that
+    // the structural pass already found without a terminator.
+    for (const VerifyLevel level :
+         {VerifyLevel::Structural, VerifyLevel::Schedulable}) {
+        Function fn("f");
+        const BlockId a = fn.createBlock();
+        fn.setEntry(a);
+        fn.appendOp(a, makeMovi(gpr(0), 1));
+        const auto problems = verifyFunction(fn, level);
+        ASSERT_FALSE(problems.empty());
+        EXPECT_NE(problems[0].find("no terminator"), std::string::npos);
+    }
 }
 
 TEST(Verifier, RejectsBranchToDeadBlock)

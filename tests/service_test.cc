@@ -610,6 +610,25 @@ TEST_F(ServiceEndToEnd, ModulesTooSmallToProfileAreErrors)
     EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
 }
 
+TEST_F(ServiceEndToEnd, BlockWithoutTerminatorIsAnError)
+{
+    startServer({});
+    // bb2 loses its BRCT; verification used to abort the worker (and
+    // with it the daemon) when the schedulable checks read the
+    // missing terminator.
+    Request broken = compileRequest();
+    replaceAll(broken.module_text, "    BRCT p1, bb4, bb3\n", "");
+    const Response resp = callOnce(broken);
+    EXPECT_EQ(resp.status, status::kError);
+    EXPECT_NE(resp.error.find("bb2: no terminator"), std::string::npos)
+        << resp.error;
+
+    // The same server still compiles.
+    const Response ok = callOnce(compileRequest());
+    ASSERT_EQ(ok.status, status::kOk) << ok.error;
+    EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
+}
+
 TEST_F(ServiceEndToEnd, StatsRemarkCountersEqualFullStreams)
 {
     // The miss path counts remarks without building them; /stats must

@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "bitvector.h"
 #include "support/arena.h"
-#include "support/bitvector.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -22,6 +22,8 @@
 
 namespace treegion::support {
 namespace {
+
+using tg_test::BitVector;
 
 TEST(Rng, Deterministic)
 {
