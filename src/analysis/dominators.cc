@@ -13,26 +13,25 @@ std::vector<BlockId>
 reversePostorder(const ir::Function &fn)
 {
     std::vector<BlockId> postorder;
-    std::unordered_map<BlockId, int> state;  // 0 = new, 1 = open, 2 = done
+    std::vector<uint8_t> seen(fn.numBlockIds(), 0);  // marked when pushed
     // Iterative DFS with an explicit stack of (block, next-succ-index).
     std::vector<std::pair<BlockId, size_t>> stack;
     stack.emplace_back(fn.entry(), 0);
-    state[fn.entry()] = 1;
+    seen[fn.entry()] = 1;
     while (!stack.empty()) {
         auto &[id, next] = stack.back();
-        const auto succs = fn.block(id).successors();
+        const auto &succs = fn.block(id).successors();
         bool descended = false;
         while (next < succs.size()) {
             const BlockId succ = succs[next++];
-            if (succ == kNoBlock || state[succ] != 0)
+            if (succ == kNoBlock || seen[succ])
                 continue;
-            state[succ] = 1;
+            seen[succ] = 1;
             stack.emplace_back(succ, 0);
             descended = true;
             break;
         }
         if (!descended && next >= succs.size()) {
-            state[id] = 2;
             postorder.push_back(id);
             stack.pop_back();
         }
