@@ -24,17 +24,11 @@ BasicBlock::terminator()
     return ops_.back();
 }
 
-const std::vector<BlockId> &
+const Op::Targets &
 BasicBlock::successors() const
 {
-    static const std::vector<BlockId> kNone;
+    static const Op::Targets kNone{};
     return hasTerminator() ? terminator().targets : kNone;
-}
-
-size_t
-BasicBlock::bodySize() const
-{
-    return ops_.size() - (hasTerminator() ? 1 : 0);
 }
 
 } // namespace treegion::ir

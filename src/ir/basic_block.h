@@ -41,7 +41,7 @@ class BasicBlock
 
     /** @return successor block ids (terminator targets, in order;
      * empty before a terminator is appended). */
-    const std::vector<BlockId> &successors() const;
+    const Op::Targets &successors() const;
 
     /** @return predecessor ids (maintained by Function). */
     const std::vector<BlockId> &preds() const { return preds_; }
@@ -58,9 +58,6 @@ class BasicBlock
      */
     std::vector<double> &edgeWeights() { return edge_weights_; }
     const std::vector<double> &edgeWeights() const { return edge_weights_; }
-
-    /** Number of non-terminator ops. */
-    size_t bodySize() const;
 
     /**
      * The original block this one was (transitively) tail-duplicated

@@ -73,7 +73,7 @@ Builder::condBr(CmpKind kind, Operand a, Operand b, BlockId taken,
 void
 Builder::mwbr(Reg selector, std::vector<BlockId> targets)
 {
-    fn_.appendTerminator(cur_, makeMwbr(selector, std::move(targets)));
+    fn_.appendTerminator(cur_, makeMwbr(selector, targets));
 }
 
 void

@@ -24,19 +24,6 @@ Operand::str() const
     return support::strprintf("%lld", static_cast<long long>(imm));
 }
 
-std::vector<Reg>
-Op::usedRegs() const
-{
-    std::vector<Reg> regs;
-    for (const Operand &src : srcs) {
-        if (src.isReg())
-            regs.push_back(src.reg);
-    }
-    if (guard)
-        regs.push_back(*guard);
-    return regs;
-}
-
 void
 Op::renameUses(Reg from, Reg to)
 {
@@ -154,16 +141,6 @@ makeMov(Reg dst, Reg src)
 }
 
 Op
-makeCopy(Reg dst, Reg src)
-{
-    Op op;
-    op.opcode = Opcode::COPY;
-    op.dsts = {dst};
-    op.srcs = {Operand::makeReg(src)};
-    return op;
-}
-
-Op
 makeLoad(Reg dst, Reg base, int64_t offset)
 {
     Op op;
@@ -227,16 +204,16 @@ makeBrct(Reg pred_reg, BlockId taken, BlockId fall)
 }
 
 Op
-makeMwbr(Reg selector, std::vector<BlockId> targets)
+makeMwbr(Reg selector, const std::vector<BlockId> &targets)
 {
     TG_ASSERT(!targets.empty());
     Op op;
     op.opcode = Opcode::MWBR;
     op.srcs = {Operand::makeReg(selector)};
-    op.caseValues.resize(targets.size());
-    for (size_t i = 0; i < targets.size(); ++i)
-        op.caseValues[i] = static_cast<int64_t>(i);
-    op.targets = std::move(targets);
+    for (size_t i = 0; i < targets.size(); ++i) {
+        op.targets.push_back(targets[i]);
+        op.caseValues.push_back(static_cast<int64_t>(i));
+    }
     return op;
 }
 

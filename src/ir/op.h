@@ -14,6 +14,7 @@
 
 #include "ir/opcode.h"
 #include "ir/operand.h"
+#include "support/inline_vector.h"
 
 namespace treegion::ir {
 
@@ -50,16 +51,27 @@ using OpId = uint32_t;
  * as (guard AND cmp) / (guard AND NOT cmp), the HPL-PD
  * unconditional-type compare, which is what makes single-register
  * path predicates composable.
+ *
+ * An Op is self-contained and fixed-size apart from an MWBR's case
+ * lists: destinations and sources live in place, sized by the opcode
+ * table, and copying a non-MWBR op never allocates (DESIGN.md §11).
  */
 struct Op
 {
+    /** Destinations, at most kMaxDsts (the parser rejects more). */
+    using Dsts = support::InlineVector<Reg, kMaxDsts>;
+    /** Sources, at most kMaxSrcs (the parser rejects more). */
+    using Srcs = support::InlineVector<Operand, kMaxSrcs>;
+    /** Branch targets: two in place, an MWBR's further cases spill. */
+    using Targets = support::SmallVector<BlockId, 2>;
+
     OpId id = 0;
     Opcode opcode = Opcode::MOVI;
     CmpKind cmp = CmpKind::EQ;         ///< only meaningful for CMPP
-    std::vector<Reg> dsts;
-    std::vector<Operand> srcs;
+    Dsts dsts;
     std::optional<Reg> guard;          ///< predicate guard, if any
-    std::vector<BlockId> targets;      ///< branch/PBR targets
+    Srcs srcs;
+    Targets targets;                   ///< branch/PBR targets
     std::vector<int64_t> caseValues;   ///< MWBR selector values
 
     /**
@@ -92,16 +104,7 @@ struct Op
     /** Result latency in cycles. */
     int latency() const { return opcodeInfo(opcode).latency; }
 
-    /**
-     * Collect every register this op reads, including the guard.
-     */
-    std::vector<Reg> usedRegs() const;
-
-    /**
-     * Visit every register this op reads (sources then guard), in
-     * usedRegs() order but without materializing a vector — the
-     * allocation-free form the scheduling hot path uses.
-     */
+    /** Visit every register this op reads: sources, then guard. */
     template <typename F>
     void
     forEachUsedReg(F &&f) const
@@ -133,9 +136,6 @@ Op makeBinary(Opcode opcode, Reg dst, Operand a, Operand b);
 /** Build a MOV op. */
 Op makeMov(Reg dst, Reg src);
 
-/** Build a COPY op (renaming reconciliation). */
-Op makeCopy(Reg dst, Reg src);
-
 /** Build an LD op: dst = mem[base + offset]. */
 Op makeLoad(Reg dst, Reg base, int64_t offset);
 
@@ -155,7 +155,7 @@ Op makeBru(BlockId target);
 Op makeBrct(Reg pred_reg, BlockId taken, BlockId fall);
 
 /** Build an MWBR over dense selector values 0..n-1. */
-Op makeMwbr(Reg selector, std::vector<BlockId> targets);
+Op makeMwbr(Reg selector, const std::vector<BlockId> &targets);
 
 /** Build a RET yielding @p result. */
 Op makeRet(Operand result);

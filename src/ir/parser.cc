@@ -1,7 +1,9 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -15,21 +17,47 @@ using support::startsWith;
 using support::strprintf;
 using support::trim;
 
+/**
+ * Split @p text on @p sep, dropping empty pieces, into @p out (a
+ * buffer reused across lines: views into the input, no copies).
+ */
+void
+splitInto(std::string_view text, char sep,
+          std::vector<std::string_view> &out)
+{
+    out.clear();
+    size_t start = 0;
+    while (start <= text.size()) {
+        size_t end = text.find(sep, start);
+        if (end == std::string_view::npos)
+            end = text.size();
+        if (end > start)
+            out.push_back(text.substr(start, end - start));
+        start = end + 1;
+    }
+}
+
+/** strtoull over a view (header numbers keep the C library's rules). */
+unsigned long long
+toUnsigned(std::string_view text)
+{
+    return std::strtoull(std::string(text).c_str(), nullptr, 10);
+}
+
+/** strtod over a view. */
+double
+toDouble(std::string_view text)
+{
+    return std::strtod(std::string(text).c_str(), nullptr);
+}
+
 /** Recursive-descent, line-oriented parser. */
 class Parser
 {
   public:
     Parser(std::string_view text, std::string *error)
-        : error_(error)
+        : text_(text), error_(error)
     {
-        size_t start = 0;
-        while (start <= text.size()) {
-            size_t end = text.find('\n', start);
-            if (end == std::string_view::npos)
-                end = text.size();
-            lines_.push_back(text.substr(start, end - start));
-            start = end + 1;
-        }
     }
 
     std::unique_ptr<Module>
@@ -38,11 +66,11 @@ class Parser
         std::string_view line;
         if (!nextLine(line) || !startsWith(line, "module "))
             return fail("expected 'module <name> mem=<words>'");
-        auto fields = support::splitString(line, ' ');
-        if (fields.size() != 3 || !startsWith(fields[2], "mem="))
+        splitInto(line, ' ', fields_);
+        if (fields_.size() != 3 || !startsWith(fields_[2], "mem="))
             return fail("malformed module header");
-        auto mod = std::make_unique<Module>(fields[1]);
-        mod->setMemWords(std::strtoull(fields[2].c_str() + 4, nullptr, 10));
+        auto mod = std::make_unique<Module>(std::string(fields_[1]));
+        mod->setMemWords(toUnsigned(fields_[2].substr(4)));
 
         while (nextLine(line)) {
             if (!startsWith(line, "func @"))
@@ -59,7 +87,6 @@ class Parser
     {
         if (error_)
             *error_ = strprintf("line %zu: %s", line_no_, msg.c_str());
-        failed_ = true;
         return nullptr;
     }
 
@@ -70,14 +97,18 @@ class Parser
         return false;
     }
 
-    /** Fetch the next non-empty line, trimmed. */
+    /** Fetch the next non-empty, non-comment line, trimmed. */
     bool
     nextLine(std::string_view &out)
     {
-        while (pos_ < lines_.size()) {
-            std::string_view line = trim(lines_[pos_]);
-            ++pos_;
-            line_no_ = pos_;
+        while (pos_ <= text_.size()) {
+            size_t end = text_.find('\n', pos_);
+            if (end == std::string_view::npos)
+                end = text_.size();
+            const std::string_view line =
+                trim(text_.substr(pos_, end - pos_));
+            pos_ = end + 1;
+            ++line_no_;
             if (!line.empty() && !startsWith(line, "#")) {
                 out = line;
                 return true;
@@ -90,12 +121,13 @@ class Parser
     parseFunction(Module &mod, std::string_view header)
     {
         // func @name entry=bbN gprs=N preds=N {
-        auto fields = support::splitString(header, ' ');
-        if (fields.size() < 3 || fields.back() != "{")
+        splitInto(header, ' ', fields_);
+        if (fields_.size() < 3 || fields_.back() != "{")
             return failb("malformed func header");
-        const std::string name = fields[0] == "func" && fields[1][0] == '@'
-                                     ? fields[1].substr(1)
-                                     : "";
+        const std::string name =
+            fields_[0] == "func" && fields_[1][0] == '@'
+                ? std::string(fields_[1].substr(1))
+                : "";
         if (name.empty())
             return failb("missing function name");
         Function &fn = mod.createFunction(name);
@@ -103,19 +135,16 @@ class Parser
         BlockId entry = kNoBlock;
         uint32_t gprs = 0;
         uint32_t preds = 0;
-        for (size_t i = 2; i + 1 < fields.size(); ++i) {
-            const std::string &f = fields[i];
+        for (size_t i = 2; i + 1 < fields_.size(); ++i) {
+            const std::string_view f = fields_[i];
             if (startsWith(f, "entry=bb"))
-                entry = static_cast<BlockId>(std::strtoul(
-                    f.c_str() + 8, nullptr, 10));
+                entry = static_cast<BlockId>(toUnsigned(f.substr(8)));
             else if (startsWith(f, "gprs="))
-                gprs = static_cast<uint32_t>(std::strtoul(
-                    f.c_str() + 5, nullptr, 10));
+                gprs = static_cast<uint32_t>(toUnsigned(f.substr(5)));
             else if (startsWith(f, "preds="))
-                preds = static_cast<uint32_t>(std::strtoul(
-                    f.c_str() + 6, nullptr, 10));
+                preds = static_cast<uint32_t>(toUnsigned(f.substr(6)));
             else
-                return failb("unknown func attribute: " + f);
+                return failb("unknown func attribute: " + std::string(f));
         }
         fn.reserveRegs(gprs, preds, 0);
 
@@ -160,11 +189,11 @@ class Parser
     parseBlock(Function &fn, std::string_view header,
                std::vector<bool> &defined)
     {
-        auto fields = support::splitString(header, ' ');
-        if (fields.size() < 3 || fields.back() != "{")
+        splitInto(header, ' ', fields_);
+        if (fields_.size() < 3 || fields_.back() != "{")
             return failb("malformed block header");
-        const BlockId id = static_cast<BlockId>(
-            std::strtoul(fields[1].c_str() + 2, nullptr, 10));
+        const BlockId id =
+            static_cast<BlockId>(toUnsigned(fields_[1].substr(2)));
         reserveBlocks(fn, id);
         if (id < defined.size() && defined[id])
             return failb(strprintf("block bb%u defined twice", id));
@@ -174,19 +203,19 @@ class Parser
         BasicBlock &b = fn.block(id);
 
         std::vector<double> edge_weights;
-        for (size_t i = 2; i + 1 < fields.size(); ++i) {
-            const std::string &f = fields[i];
-            if (startsWith(f, "weight="))
-                b.setWeight(std::strtod(f.c_str() + 7, nullptr));
-            else if (startsWith(f, "edges=[")) {
-                std::string inner = f.substr(7);
+        for (size_t i = 2; i + 1 < fields_.size(); ++i) {
+            const std::string_view f = fields_[i];
+            if (startsWith(f, "weight=")) {
+                b.setWeight(toDouble(f.substr(7)));
+            } else if (startsWith(f, "edges=[")) {
+                std::string_view inner = f.substr(7);
                 if (!inner.empty() && inner.back() == ']')
-                    inner.pop_back();
-                for (const auto &piece : support::splitString(inner, ','))
-                    edge_weights.push_back(
-                        std::strtod(piece.c_str(), nullptr));
+                    inner.remove_suffix(1);
+                splitInto(inner, ',', toks_);
+                for (const std::string_view piece : toks_)
+                    edge_weights.push_back(toDouble(piece));
             } else {
-                return failb("unknown block attribute: " + f);
+                return failb("unknown block attribute: " + std::string(f));
             }
         }
 
@@ -235,6 +264,7 @@ class Parser
         return Reg{cls, idx};
     }
 
+    /** A decimal immediate; out-of-range values saturate (strtoll). */
     static std::optional<int64_t>
     parseImm(std::string_view tok)
     {
@@ -247,7 +277,13 @@ class Parser
             if (!std::isdigit(static_cast<unsigned char>(tok[i])))
                 return std::nullopt;
         }
-        return std::strtoll(std::string(tok).c_str(), nullptr, 10);
+        int64_t value = 0;
+        const auto [end, ec] =
+            std::from_chars(tok.data(), tok.data() + tok.size(), value);
+        if (ec == std::errc::result_out_of_range)
+            return tok[0] == '-' ? std::numeric_limits<int64_t>::min()
+                                 : std::numeric_limits<int64_t>::max();
+        return value;
     }
 
     static std::optional<BlockId>
@@ -269,72 +305,70 @@ class Parser
         return std::nullopt;
     }
 
-    /** Split an op body into tokens on spaces/commas, keeping []+?:. */
-    static std::vector<std::string>
+    /**
+     * Split an op body into toks_ on spaces/commas/tabs, with each of
+     * []+?: a token of its own.
+     */
+    void
     tokenize(std::string_view text)
     {
-        std::vector<std::string> toks;
-        std::string cur;
-        auto flush = [&]() {
-            if (!cur.empty()) {
-                toks.push_back(cur);
-                cur.clear();
-            }
+        toks_.clear();
+        size_t start = 0;
+        auto flush = [&](size_t end) {
+            if (end > start)
+                toks_.push_back(text.substr(start, end - start));
         };
-        for (char c : text) {
+        for (size_t i = 0; i < text.size(); ++i) {
+            const char c = text[i];
             if (c == ' ' || c == ',' || c == '\t') {
-                flush();
+                flush(i);
+                start = i + 1;
             } else if (c == '[' || c == ']' || c == '+' || c == '?' ||
                        c == ':') {
-                flush();
-                toks.push_back(std::string(1, c));
-            } else {
-                cur += c;
+                flush(i);
+                toks_.push_back(text.substr(i, 1));
+                start = i + 1;
             }
         }
-        flush();
-        return toks;
+        flush(text.size());
     }
 
     bool
     parseOp(Function &fn, std::string_view line, Op &op)
     {
-        // Destinations (before '=').
+        // Destinations (before '='), at most kMaxDsts of them.
         std::string_view body = line;
         const size_t eq = line.find(" = ");
-        std::vector<Reg> dsts;
         if (eq != std::string_view::npos) {
-            for (const auto &d :
-                 support::splitString(line.substr(0, eq), ',')) {
+            splitInto(line.substr(0, eq), ',', toks_);
+            for (const std::string_view d : toks_) {
                 auto r = parseReg(trim(d));
                 if (!r)
-                    return failb("bad destination register: " + d);
-                dsts.push_back(*r);
+                    return failb("bad destination register: " +
+                                 std::string(d));
+                if (op.dsts.size() == kMaxDsts)
+                    return failb("too many destinations");
+                op.dsts.push_back(*r);
             }
             body = line.substr(eq + 3);
         }
 
-        auto toks = tokenize(body);
+        tokenize(body);
+        const std::vector<std::string_view> &toks = toks_;
         if (toks.empty())
             return failb("empty op");
 
         // Mnemonic, possibly with a CMPP kind suffix.
-        std::string mnemonic = toks[0];
-        CmpKind kind = CmpKind::EQ;
+        std::string_view mnemonic = toks[0];
         const size_t dot = mnemonic.find('.');
-        if (dot != std::string::npos) {
-            if (!parseCmpKind(mnemonic.substr(dot + 1), kind))
-                return failb("bad compare kind in " + mnemonic);
+        if (dot != std::string_view::npos) {
+            if (!parseCmpKind(mnemonic.substr(dot + 1), op.cmp))
+                return failb("bad compare kind in " +
+                             std::string(mnemonic));
             mnemonic = mnemonic.substr(0, dot);
         }
-        Opcode opcode;
-        if (!parseOpcode(mnemonic, opcode))
-            return failb("unknown opcode: " + mnemonic);
-
-        op = Op{};
-        op.opcode = opcode;
-        op.cmp = kind;
-        op.dsts = std::move(dsts);
+        if (!parseOpcode(mnemonic, op.opcode))
+            return failb("unknown opcode: " + std::string(mnemonic));
 
         // Trailing guard: "? pN".
         size_t end = toks.size();
@@ -354,7 +388,7 @@ class Parser
             return true;
         };
 
-        if (opcode == Opcode::LD || opcode == Opcode::ST) {
+        if (op.opcode == Opcode::LD || op.opcode == Opcode::ST) {
             if (!expect("["))
                 return failb("expected '[' in memory op");
             auto base = parseReg(i < end ? toks[i] : "");
@@ -370,7 +404,7 @@ class Parser
             if (!expect("]"))
                 return failb("expected ']' in memory op");
             op.srcs = {Operand::makeReg(*base), Operand::makeImm(*off)};
-            if (opcode == Opcode::ST) {
+            if (op.opcode == Opcode::ST) {
                 if (i >= end)
                     return failb("missing store value");
                 if (auto r = parseReg(toks[i]))
@@ -381,7 +415,7 @@ class Parser
                     return failb("bad store value");
                 ++i;
             }
-        } else if (opcode == Opcode::MWBR) {
+        } else if (op.opcode == Opcode::MWBR) {
             auto sel = parseReg(i < end ? toks[i] : "");
             if (!sel)
                 return failb("bad MWBR selector");
@@ -406,18 +440,24 @@ class Parser
             if (!expect("]"))
                 return failb("expected ']' in MWBR");
         } else {
-            // Generic: a mix of operands and branch targets.
+            // Generic: a mix of operands (at most kMaxSrcs) and branch
+            // targets.
             for (; i < end; ++i) {
-                const std::string &tok = toks[i];
+                const std::string_view tok = toks[i];
                 if (auto target = parseTarget(tok)) {
                     op.targets.push_back(*target);
-                } else if (auto r = parseReg(tok)) {
-                    op.srcs.push_back(Operand::makeReg(*r));
-                } else if (auto imm = parseImm(tok)) {
-                    op.srcs.push_back(Operand::makeImm(*imm));
-                } else {
-                    return failb("bad operand: " + tok);
+                    continue;
                 }
+                Operand src;
+                if (auto r = parseReg(tok))
+                    src = Operand::makeReg(*r);
+                else if (auto imm = parseImm(tok))
+                    src = Operand::makeImm(*imm);
+                else
+                    return failb("bad operand: " + std::string(tok));
+                if (op.srcs.size() == kMaxSrcs)
+                    return failb("too many operands");
+                op.srcs.push_back(src);
             }
             // The printed form of PBR/BRU carries targets only; make
             // sure referenced blocks exist.
@@ -431,11 +471,12 @@ class Parser
         return true;
     }
 
+    std::string_view text_;
     std::string *error_;
-    std::vector<std::string_view> lines_;
-    size_t pos_ = 0;
-    size_t line_no_ = 0;
-    bool failed_ = false;
+    size_t pos_ = 0;      ///< start of the next unread line
+    size_t line_no_ = 0;  ///< 1-based number of the last line read
+    std::vector<std::string_view> fields_;  ///< header fields
+    std::vector<std::string_view> toks_;    ///< op tokens, edge weights
 };
 
 } // namespace

@@ -231,11 +231,11 @@ class Verifier
             }
             // Predicate uses may only be block terminator conditions.
             if (!op.isBranch()) {
-                for (const Reg &use : op.usedRegs()) {
+                op.forEachUsedReg([&](const Reg &use) {
                     if (use.cls == RegClass::Pred)
                         err(strprintf("bb%u op%u: predicate used by a "
                                       "non-branch op", b.id(), op.id));
-                }
+                });
             }
         }
         const Op &term = b.terminator();

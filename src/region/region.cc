@@ -112,17 +112,6 @@ Region::pathCount() const
     return count(count, root_);
 }
 
-size_t
-Region::depthOf(BlockId id) const
-{
-    size_t depth = 0;
-    while (parentOf(id) != kNoBlock) {
-        id = parentOf(id);
-        ++depth;
-    }
-    return depth;
-}
-
 bool
 Region::isInternalEdge(ir::Function &fn, BlockId from, size_t slot) const
 {

@@ -95,9 +95,6 @@ class Region
     /** @return number of root-to-leaf paths (leaf count). */
     size_t pathCount() const;
 
-    /** @return depth of @p id below the root (root = 0). */
-    size_t depthOf(ir::BlockId id) const;
-
     /**
      * Is the terminator target edge (@p from, @p slot) internal to
      * the region tree?

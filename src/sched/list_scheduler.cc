@@ -508,34 +508,34 @@ Scheduler::assemble()
     const size_t n = n_;
     RegionSchedule sched;
     sched.root = lowered_.root;
-    sched.succs_in_region = std::move(lowered_.succs_in_region);
     sched.stats.renamed_defs = lowered_.renamed_defs;
     sched.stats.elided_ops = elided_count_;
 
     // Surviving ops sorted by (cycle, slot).
-    std::vector<size_t> emit_order;
-    emit_order.reserve(n);
+    uint32_t *emit_order = arena_.allocArray<uint32_t>(n);
+    size_t kept = 0;
     for (size_t i = 0; i < n; ++i) {
         if (!elided_[i])
-            emit_order.push_back(i);
+            emit_order[kept++] = static_cast<uint32_t>(i);
     }
-    std::sort(emit_order.begin(), emit_order.end(),
-              [&](size_t a, size_t b) {
-                  return std::make_pair(cycle_[a], slot_[a]) <
-                         std::make_pair(cycle_[b], slot_[b]);
-              });
+    std::sort(emit_order, emit_order + kept, [&](uint32_t a, uint32_t b) {
+        return std::make_pair(cycle_[a], slot_[a]) <
+               std::make_pair(cycle_[b], slot_[b]);
+    });
 
-    std::vector<size_t> lowered_to_out(n, SIZE_MAX);
-    sched.ops.reserve(emit_order.size());
-    for (const size_t i : emit_order) {
-        ScheduledOp sop;
-        sop.op = std::move(lowered_.ops[i].op);
-        sop.cycle = cycle_[i];
-        sop.slot = slot_[i];
-        sop.home = lowered_.ops[i].home;
-        sop.speculative = lowered_.ops[i].kind ==
-                              LoweredKind::Computation &&
-                          !sop.op.guard && sop.home != lowered_.root;
+    // Each op is moved once, into its place in sched.ops.
+    uint32_t *lowered_to_out = arena_.allocFilled<uint32_t>(n, npos);
+    sched.ops.reserve(kept);
+    for (size_t k = 0; k < kept; ++k) {
+        const uint32_t i = emit_order[k];
+        LoweredOp &lop = lowered_.ops[i];
+        const bool speculative = lop.kind == LoweredKind::Computation &&
+                                 !lop.op.guard &&
+                                 lop.home != lowered_.root;
+        lowered_to_out[i] = static_cast<uint32_t>(sched.ops.size());
+        const ScheduledOp &sop = sched.ops.emplace_back(
+            std::move(lop.op), cycle_[i], slot_[i], speculative,
+            lop.home);
         if (sop.speculative) {
             ++sched.stats.speculated_ops;
             support::remark(support::RemarkKind::Speculated)
@@ -545,25 +545,20 @@ Scheduler::assemble()
                 .arg("cycle", sop.cycle)
                 .arg("slot", sop.slot);
         }
-        lowered_to_out[i] = sched.ops.size();
-        sched.ops.push_back(std::move(sop));
         sched.length = std::max(sched.length, cycle_[i] + 1);
     }
 
+    sched.exits.reserve(lowered_.exits.size());
     for (LoweredExit &exit : lowered_.exits) {
-        ScheduledExit se;
-        TG_ASSERT(lowered_to_out[exit.op_index] != SIZE_MAX);
-        se.op_index = lowered_to_out[exit.op_index];
-        se.target_slot = exit.target_slot;
-        se.from = exit.from;
-        se.target = exit.target;
-        se.is_ret = exit.is_ret;
-        se.weight = exit.weight;
-        se.cycle = cycle_[exit.op_index];
+        TG_ASSERT(lowered_to_out[exit.op_index] != npos);
         sched.stats.exit_copies += exit.copies.size();
-        se.copies = std::move(exit.copies);
-        sched.exits.push_back(std::move(se));
+        sched.exits.push_back({lowered_to_out[exit.op_index],
+                               exit.target_slot, exit.from, exit.target,
+                               exit.is_ret, exit.weight,
+                               cycle_[exit.op_index],
+                               std::move(exit.copies)});
     }
+    sched.tree = std::move(lowered_.tree);
     if (support::remarksEnabled())
         reportExitMerges();
     return sched;

@@ -38,7 +38,6 @@
 #define TREEGION_SCHED_LOWERING_H
 
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -100,15 +99,12 @@ struct LoweredRegion
     size_t renamed_defs = 0;
 
     /**
-     * The region's internal control structure: for each member block,
-     * its in-region successors. A tree for treegions/linear regions,
-     * a DAG for hyperblocks. The DDG derives memory path order, store
-     * pinning, control heights and exit counts from this, so the
-     * scheduler is agnostic to the region type that produced the
-     * lowering.
+     * The region's internal control structure. The DDG derives memory
+     * path order, store pinning, control heights and exit counts from
+     * it, so the scheduler is agnostic to the region type that
+     * produced the lowering.
      */
-    std::unordered_map<ir::BlockId, std::vector<ir::BlockId>>
-        succs_in_region;
+    RegionTree tree;
 };
 
 /**

@@ -20,8 +20,8 @@ namespace {
  * while never under-projecting. Bytes.
  */
 constexpr double kBaseBytes = 32.0 * 1024.0;
-constexpr double kPerOpBytes = 290.0;
-constexpr double kPerOpWidthBytes = 24.0;
+constexpr double kPerOpBytes = 245.0;
+constexpr double kPerOpWidthBytes = 20.0;
 constexpr double kPerBlockBytes = 800.0;
 constexpr double kPerEdgeBytes = 400.0;
 
@@ -30,7 +30,7 @@ constexpr double kPerEdgeBytes = 400.0;
  * formation, so it gets its own fitted per-op coefficients instead
  * of a flat multiplier on the shared model (which over-projected up
  * to 1.75x). The --calibrate sweep shows hyper's peak tracking ops
- * nearly linearly at ~550-620 bytes/op at 4U; these round that up
+ * nearly linearly at ~450-520 bytes/op at 4U; these round that up
  * so every calibration point lands in the same 1.2-1.5x band the
  * tree schemes sit in. One known exception stays out of the fit:
  * li's single huge if-convertible DAG blows its DDG ~9x past its
@@ -38,8 +38,8 @@ constexpr double kPerEdgeBytes = 400.0;
  * no shape-count model can see; it remains documented rather than
  * chased with a factor that would over-reserve everything else 5x.
  */
-constexpr double kHyperPerOpBytes = 412.0;
-constexpr double kHyperPerOpWidthBytes = 32.0;
+constexpr double kHyperPerOpBytes = 320.0;
+constexpr double kHyperPerOpWidthBytes = 25.0;
 
 /**
  * Peak-footprint multiplier per formation scheme, relative to plain

@@ -1,6 +1,5 @@
 #include "sched/perf_model.h"
 
-#include "support/logging.h"
 #include "support/remarks.h"
 
 namespace treegion::sched {
@@ -35,22 +34,6 @@ estimateRegionTime(const RegionSchedule &sched)
         time += cost;
     }
     return time;
-}
-
-double
-estimateFunctionTime(const FunctionSchedule &sched)
-{
-    double time = 0.0;
-    for (const auto &[root, region_sched] : sched.regions)
-        time += estimateRegionTime(region_sched);
-    return time;
-}
-
-double
-speedup(double baseline_time, double time)
-{
-    TG_ASSERT(time > 0.0);
-    return baseline_time / time;
 }
 
 } // namespace treegion::sched

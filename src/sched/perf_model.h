@@ -20,12 +20,6 @@ namespace treegion::sched {
 /** Estimated cycles spent in one region schedule. */
 double estimateRegionTime(const RegionSchedule &sched);
 
-/** Estimated cycles for a whole function schedule. */
-double estimateFunctionTime(const FunctionSchedule &sched);
-
-/** Speedup of @p time over @p baseline_time. */
-double speedup(double baseline_time, double time);
-
 } // namespace treegion::sched
 
 #endif // TREEGION_SCHED_PERF_MODEL_H

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for dominators, liveness, loops, and profile utilities.
+ * Tests for dominators, liveness, and profile utilities.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "analysis/dominators.h"
 #include "analysis/liveness.h"
-#include "analysis/loops.h"
 #include "analysis/profile.h"
 #include "ir/builder.h"
 #include "workloads/profiler.h"
@@ -100,33 +99,6 @@ TEST(Dominators, ChildrenInverse)
     DominatorTree dom(g.fn);
     const auto kids = dom.children(g.entry);
     EXPECT_NE(std::find(kids.begin(), kids.end(), g.join), kids.end());
-}
-
-TEST(Loops, DetectsNaturalLoop)
-{
-    DiamondLoop g;
-    LoopInfo loops(g.fn);
-    ASSERT_EQ(loops.backEdges().size(), 1u);
-    EXPECT_EQ(loops.backEdges()[0].second, g.header);
-    ASSERT_EQ(loops.loops().size(), 1u);
-    const Loop &loop = loops.loops()[0];
-    EXPECT_EQ(loop.header, g.header);
-    EXPECT_TRUE(loop.blocks.count(g.body));
-    EXPECT_FALSE(loop.blocks.count(g.exit));
-    EXPECT_TRUE(loops.isHeader(g.header));
-    EXPECT_FALSE(loops.isHeader(g.body));
-}
-
-TEST(Loops, AcyclicHasNone)
-{
-    Function fn("f");
-    Builder bu(fn);
-    const BlockId a = bu.newBlock();
-    fn.setEntry(a);
-    bu.setInsertPoint(a);
-    bu.ret(Builder::I(0));
-    LoopInfo loops(fn);
-    EXPECT_TRUE(loops.backEdges().empty());
 }
 
 TEST(Liveness, ValueLiveAcrossBranch)

@@ -75,7 +75,8 @@ TEST(Op, UsedRegsIncludesGuard)
 {
     Op op = makeStore(gpr(1), 4, Operand::makeReg(gpr(2)));
     op.guard = pred(3);
-    const auto uses = op.usedRegs();
+    std::vector<Reg> uses;
+    op.forEachUsedReg([&](Reg r) { uses.push_back(r); });
     EXPECT_EQ(uses.size(), 3u);
     EXPECT_EQ(uses[2], pred(3));
 }
@@ -119,7 +120,7 @@ TEST(Function, CreateBlocksAndEdges)
     builder.setInsertPoint(c);
     builder.ret(Builder::I(2));
 
-    EXPECT_EQ(fn.block(a).successors(), (std::vector<BlockId>{b, c}));
+    EXPECT_EQ(fn.block(a).successors(), (Op::Targets{b, c}));
     EXPECT_EQ(fn.predsOf(b), (std::vector<BlockId>{a}));
     EXPECT_FALSE(fn.isMergePoint(b));
 }

@@ -6,7 +6,7 @@
  * edges (sched/ddg.h). Every height must equal the longest path over
  * the stored edges plus an explicit latency-1 edge from each exit
  * branch to every op homed strictly below its block (found here by
- * plain reachability over succs_in_region), with the same back-edge
+ * plain reachability over the region tree), with the same back-edge
  * floor pass. Edge lists must hold one edge per (other end,
  * slot_ordered) and the succ and pred lists must mirror each other.
  * Inputs: examples/ and the frozen golden inputs under every region
@@ -103,10 +103,12 @@ referenceHeights(const sched::LoweredRegion &lowered,
         std::vector<BlockId> below;
         std::vector<BlockId> work;
         auto push_succs = [&](BlockId b) {
-            const auto it = lowered.succs_in_region.find(b);
-            if (it == lowered.succs_in_region.end())
+            const sched::RegionTree &tree = lowered.tree;
+            const uint32_t pos = tree.position(b);
+            if (pos == sched::RegionTree::kNone)
                 return;
-            for (const BlockId s : it->second) {
+            for (const uint32_t succ : tree.succs(pos)) {
+                const BlockId s = tree.block(succ);
                 if (std::find(below.begin(), below.end(), s) ==
                     below.end()) {
                     below.push_back(s);
@@ -311,7 +313,7 @@ TEST(DdgReference, HeightsEdgesAndMirrorsMatchBruteForce)
 
 /**
  * The original liveness: hash maps of bit vectors, use/def from
- * Op::usedRegs(), round-robin sweeps in reverse block-id order until
+ * Op::forEachUsedReg(), round-robin sweeps in reverse block-id order until
  * nothing changes.
  */
 class MapLiveness
@@ -327,12 +329,12 @@ class MapLiveness
         for (const BlockId id : ids) {
             BitVector u(num_regs_), d(num_regs_);
             for (const ir::Op &op : fn.block(id).ops()) {
-                for (const ir::Reg r : op.usedRegs()) {
+                op.forEachUsedReg([&](const ir::Reg r) {
                     if (r.cls == ir::RegClass::Btr)
-                        continue;
+                        return;
                     if (!d.test(index(r)))
                         u.set(index(r));
-                }
+                });
                 for (const ir::Reg r : op.dsts) {
                     if (r.cls != ir::RegClass::Btr)
                         d.set(index(r));

@@ -61,10 +61,10 @@ checkLegality(const RegionSchedule &sched, int width)
             writers[d].push_back(&sop);
     }
     for (const ScheduledOp &sop : sched.ops) {
-        for (const ir::Reg &use : sop.op.usedRegs()) {
+        sop.op.forEachUsedReg([&](const ir::Reg &use) {
             auto it = writers.find(use);
             if (it == writers.end())
-                continue;
+                return;
             for (const ScheduledOp *w : it->second) {
                 if (w == &sop)
                     continue;
@@ -72,7 +72,7 @@ checkLegality(const RegionSchedule &sched, int width)
                     << sop.op.str() << " reads " << use.str()
                     << " written by " << w->op.str();
             }
-        }
+        });
     }
 
     for (const ScheduledExit &exit : sched.exits) {
@@ -390,10 +390,20 @@ TEST(ScheduleVerifier, RejectsStoreReorderedPastDependentLoad)
 // same traversal, so their relative order is unconstrained.
 TEST(ScheduleVerifier, AllowsStoreLoadReorderAcrossDisjointPaths)
 {
+    // A fork: root 0 branches to 1 and 2; @p chained adds 1 -> 2.
+    auto fork = [](bool chained) {
+        return RegionTree({0, 1, 2}, [chained](ir::BlockId id) {
+            if (id == 0)
+                return std::vector<ir::BlockId>{1, 2};
+            if (id == 1 && chained)
+                return std::vector<ir::BlockId>{2};
+            return std::vector<ir::BlockId>{};
+        });
+    };
     RegionSchedule sched;
     sched.root = 0;
     sched.length = 2;
-    sched.succs_in_region[0] = {1, 2};  // diamond: root forks to 1, 2
+    sched.tree = fork(false);
     ScheduledOp st = placed(
         ir::makeStore(ir::gpr(0), 4, ir::Operand::makeReg(ir::gpr(1))),
         10, 1, 0);
@@ -406,7 +416,7 @@ TEST(ScheduleVerifier, AllowsStoreLoadReorderAcrossDisjointPaths)
     EXPECT_TRUE(verifySchedule(sched, 4).empty());
 
     // Same pair with the load downstream of the store is ordered.
-    sched.succs_in_region[1] = {2};
+    sched.tree = fork(true);
     EXPECT_FALSE(verifySchedule(sched, 4).empty());
 }
 
