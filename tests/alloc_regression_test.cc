@@ -13,6 +13,11 @@
  * register count: a tiny region of a function that has allocated a
  * million registers must lower and schedule in bounded scratch.
  *
+ * A third set pins that copying ops costs no allocation: an op's
+ * operands live in place, so copying one is heap-free, and cloning a
+ * function or lowering its regions allocates per block and per
+ * region, never per op.
+ *
  * Remarks and tracing stay disabled here: both are opt-in observers
  * that legitimately allocate, and the steady-state property concerns
  * production (observer-free) compiles.
@@ -30,6 +35,7 @@
 #include "analysis/liveness.h"
 #include "ir/function.h"
 #include "region/formation.h"
+#include "sched/hyperblock_lowering.h"
 #include "sched/list_scheduler.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
@@ -200,6 +206,120 @@ TEST(AllocRegression, DisabledTracingObserversAreHeapFree)
     }
     EXPECT_EQ(allocations, 0u)
         << "disabled tracing observers allocated";
+}
+
+TEST(AllocRegression, CopyingAnOpIsHeapFree)
+{
+    const ir::Operand r1 = ir::Operand::makeReg(ir::gpr(1));
+    const ir::Operand five = ir::Operand::makeImm(5);
+    std::vector<ir::Op> ops = {
+        ir::makeBinary(ir::Opcode::ADD, ir::gpr(2), r1, five),
+        ir::makeStore(ir::gpr(0), 4, r1),
+        ir::makeCmpp(ir::CmpKind::LT, ir::pred(0), ir::pred(1), r1, five),
+        ir::makePbr(ir::btr(0), 3),
+        ir::makeBrct(ir::pred(0), 1, 2),
+        ir::makeRet(r1),
+    };
+    ops[1].guard = ir::pred(0);
+    std::vector<ir::Op> copies(ops.size());
+    uint64_t allocations;
+    {
+        tg_test::AllocGuard guard;
+        for (size_t i = 0; i < ops.size(); ++i) {
+            ir::Op copy(ops[i]);
+            copies[i] = copy;
+        }
+        allocations = guard.allocations();
+    }
+    EXPECT_EQ(allocations, 0u) << "copying an op allocated";
+    for (size_t i = 0; i < ops.size(); ++i)
+        EXPECT_EQ(copies[i].str(), ops[i].str());
+}
+
+/** @p fn with every block's body (all but the terminator) twice. */
+ir::Function
+withDoubledBodies(const ir::Function &fn)
+{
+    ir::Function doubled = fn.clone();
+    doubled.forEachBlockMut([&](ir::BasicBlock &b) {
+        std::vector<ir::Op> ops;
+        for (int pass = 0; pass < 2; ++pass) {
+            for (size_t i = 0; i + 1 < b.ops().size(); ++i) {
+                ops.push_back(b.ops()[i]);
+                if (pass)
+                    ops.back().id = doubled.freshOpId();
+            }
+        }
+        ops.push_back(b.ops().back());
+        b.ops() = std::move(ops);
+    });
+    return doubled;
+}
+
+/** Heap allocations made by @p f. */
+template <typename F>
+uint64_t
+allocationsOf(F &&f)
+{
+    tg_test::AllocGuard guard;
+    f();
+    return guard.allocations();
+}
+
+/** Allocations lowering every region of a clone of @p fn makes. */
+uint64_t
+loweringAllocations(const ir::Function &fn, bool hyper,
+                    size_t *regions)
+{
+    ir::Function work = fn.clone();
+    const region::RegionSet set = hyper ? region::formHyperblocks(work)
+                                        : region::formTreegions(work);
+    const analysis::Liveness live(work);
+    *regions = set.regions().size();
+    return allocationsOf([&] {
+        for (const region::Region &r : set.regions()) {
+            const LoweredRegion lowered =
+                hyper ? lowerHyperblock(work, r, live)
+                      : lowerRegion(work, r, live);
+        }
+    });
+}
+
+/**
+ * No allocation count grows with the op count: cloning a function and
+ * lowering its treegions or hyperblocks allocate as often on the
+ * function as on a copy with every block body doubled.
+ */
+TEST(AllocRegression, CloneAndLoweringAllocationsIgnoreOpCount)
+{
+    workloads::GenParams p;
+    p.seed = 7;
+    p.top_units = 8;
+    p.mem_words = 1024;
+    auto mod = workloads::generateProgram("x", p);
+    ir::Function &fn = mod->function("main");
+    workloads::profileFunction(fn, p.mem_words);
+    const ir::Function doubled = withDoubledBodies(fn);
+    ASSERT_GT(doubled.totalOps(), fn.totalOps() * 3 / 2);
+
+    EXPECT_EQ(allocationsOf([&] { fn.clone(); }),
+              allocationsOf([&] { doubled.clone(); }))
+        << "Function::clone allocates per op";
+
+    for (const bool hyper : {false, true}) {
+        size_t regions = 0, doubled_regions = 0;
+        // Warm-up: grows the thread's rename storage (slots and undo
+        // journal) to its high water.
+        loweringAllocations(doubled, hyper, &regions);
+        const uint64_t base = loweringAllocations(fn, hyper, &regions);
+        const uint64_t twice =
+            loweringAllocations(doubled, hyper, &doubled_regions);
+        ASSERT_EQ(regions, doubled_regions);
+        ASSERT_GT(regions, 1u);
+        EXPECT_EQ(base, twice)
+            << (hyper ? "lowerHyperblock" : "lowerRegion")
+            << " allocates per op";
+    }
 }
 
 TEST(AllocRegression, ArenaMetricsReported)

@@ -629,6 +629,25 @@ TEST_F(ServiceEndToEnd, BlockWithoutTerminatorIsAnError)
     EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
 }
 
+TEST_F(ServiceEndToEnd, OpPastTheOperandCapacityIsAnError)
+{
+    startServer({});
+    // An op's sources live in a fixed array of three; a fourth operand
+    // must be a parse error, not an overfilled array.
+    Request broken = compileRequest();
+    replaceAll(broken.module_text, "r4 = ADD r3, r1\n",
+               "r4 = ADD r3, r1, r2, r0\n");
+    const Response resp = callOnce(broken);
+    EXPECT_EQ(resp.status, status::kError);
+    EXPECT_NE(resp.error.find("too many operands"), std::string::npos)
+        << resp.error;
+
+    // The same server still compiles.
+    const Response ok = callOnce(compileRequest());
+    ASSERT_EQ(ok.status, status::kOk) << ok.error;
+    EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
+}
+
 TEST_F(ServiceEndToEnd, StatsRemarkCountersEqualFullStreams)
 {
     // The miss path counts remarks without building them; /stats must

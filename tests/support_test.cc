@@ -14,6 +14,7 @@
 
 #include "bitvector.h"
 #include "support/arena.h"
+#include "support/inline_vector.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -155,6 +156,77 @@ TEST(BitVector, ForEachSetAscending)
     bv.set(77);
     bv.set(199);
     EXPECT_EQ(bv.toIndices(), (std::vector<size_t>{3, 77, 199}));
+}
+
+TEST(InlineVector, HoldsUpToItsCapacityInPlace)
+{
+    InlineVector<int, 3> v;
+    EXPECT_TRUE(v.empty());
+    for (int i = 1; i <= 3; ++i)
+        v.push_back(i);
+    EXPECT_EQ(v.size(), 3u);
+    EXPECT_EQ(v.front(), 1);
+    EXPECT_EQ(v.back(), 3);
+    EXPECT_EQ(std::vector<int>(v.rbegin(), v.rend()),
+              (std::vector<int>{3, 2, 1}));
+    static_assert(sizeof(v) == 4 * sizeof(int), "no heap pointer");
+    EXPECT_DEATH(v.push_back(4), "assertion failed");
+}
+
+TEST(InlineVector, CopiesAndComparesTheLiveElements)
+{
+    const InlineVector<int, 3> a = {1, 2};
+    InlineVector<int, 3> b = a;
+    EXPECT_EQ(a, b);
+    b[1] = 5;
+    EXPECT_NE(a, b);
+    b = {1, 2, 3};
+    EXPECT_NE(a, b);
+    b = {1, 2};  // the stale third slot is not compared
+    EXPECT_EQ(a, b);
+    InlineVector<int, 3> moved = std::move(b);
+    EXPECT_EQ(moved, a);
+}
+
+TEST(SmallVector, SpillsPastTwoTargets)
+{
+    SmallVector<uint32_t, 2> v = {7, 8};
+    const void *in_place = v.data();
+    EXPECT_EQ(static_cast<const void *>(&v), in_place);
+    v.push_back(9);  // an MWBR's third case
+    EXPECT_NE(static_cast<const void *>(v.data()), in_place);
+    for (uint32_t i = 10; i < 47; ++i)
+        v.push_back(i);
+    ASSERT_EQ(v.size(), 40u);
+    for (uint32_t i = 0; i < 40; ++i)
+        EXPECT_EQ(v[i], 7 + i);
+    EXPECT_EQ(v.back(), 46u);
+}
+
+TEST(SmallVector, CopyAndMoveKeepTheElements)
+{
+    const SmallVector<uint32_t, 2> small = {1, 2};
+    const SmallVector<uint32_t, 2> big = {1, 2, 3, 4, 5};
+    SmallVector<uint32_t, 2> a = small;
+    SmallVector<uint32_t, 2> b = big;
+    EXPECT_EQ(a, small);
+    EXPECT_EQ(b, big);
+    EXPECT_NE(b.data(), big.data());
+    EXPECT_NE(a, b);
+
+    SmallVector<uint32_t, 2> c = std::move(b);  // takes the heap array
+    EXPECT_EQ(c, big);
+    EXPECT_TRUE(b.empty());
+    b = std::move(a);  // an in-place source
+    EXPECT_EQ(b, small);
+    EXPECT_TRUE(a.empty());
+    c = small;  // a spilled target takes an in-place value
+    EXPECT_EQ(c, small);
+    a = big;
+    c = a;
+    EXPECT_EQ(c, big);
+    c = std::move(c);
+    EXPECT_EQ(c, big);
 }
 
 TEST(Accumulator, Basic)
