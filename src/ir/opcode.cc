@@ -1,5 +1,6 @@
 #include "ir/opcode.h"
 
+#include <algorithm>
 #include <array>
 
 #include "support/logging.h"
@@ -7,6 +8,13 @@
 namespace treegion::ir {
 
 namespace {
+
+static_assert(std::all_of(kOpcodeInfo.begin(), kOpcodeInfo.end(),
+                          [](const OpcodeInfo &info) {
+                              return info.numDsts <= int{kMaxDsts} &&
+                                     info.numSrcs <= int{kMaxSrcs};
+                          }),
+              "an opcode needs more operands than an Op holds");
 
 const std::array<std::string_view, 6> kCmpNames = {"EQ", "NE", "LT",
                                                    "LE", "GT", "GE"};
