@@ -28,7 +28,7 @@
  * placement loops a skip per edge.
  *
  * The region's internal control structure comes from
- * LoweredRegion::succs_in_region — a tree for treegions and linear
+ * LoweredRegion::tree — a tree for treegions and linear
  * regions, a DAG for hyperblocks — so this graph (and hence the list
  * scheduler) is agnostic to the region type.
  *
