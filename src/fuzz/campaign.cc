@@ -11,7 +11,7 @@
 #include "ir/printer.h"
 #include "support/string_utils.h"
 #include "support/thread_pool.h"
-#include "support/trace.h"
+#include "support/spans.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
 
@@ -65,7 +65,8 @@ writeRepro(const FoundBug &bug, const std::string &corpus_dir)
 CampaignResult
 runCampaign(const CampaignOptions &opts)
 {
-    support::TraceScope campaign_span("fuzz_campaign", "fuzz");
+    support::SpanScope campaign_span("fuzz_campaign",
+                                     support::SpanScope::Root::IfEnabled);
     CampaignResult result;
     support::Rng rng(opts.seed);
     std::unique_ptr<support::ThreadPool> pool;
@@ -80,7 +81,8 @@ runCampaign(const CampaignOptions &opts)
     while ((opts.max_programs == 0 ||
             result.programs < opts.max_programs) &&
            std::chrono::steady_clock::now() < deadline) {
-        support::TraceScope program_span("fuzz_program", "fuzz");
+        support::SpanScope program_span(
+            "fuzz_program", support::SpanScope::Root::IfEnabled);
         const workloads::GenParams params = mutateParams(rng);
         std::unique_ptr<ir::Module> mod =
             workloads::generateProgram("fuzz", params);
@@ -114,8 +116,10 @@ runCampaign(const CampaignOptions &opts)
         const size_t mem_words = mod->memWords();
         auto runCell = [&fn, mem_words,
                         &oracle = opts.oracle](const FuzzConfig &config) {
-            support::TraceScope cell_span("fuzz_cell", "fuzz");
-            cell_span.arg("config", config.str());
+            support::SpanScope cell_span(
+                "fuzz_cell", support::SpanScope::Root::IfEnabled);
+            if (cell_span.live())
+                cell_span.arg("config", config.str());
             return checkCell(fn, mem_words, config, oracle);
         };
         if (pool) {
@@ -211,7 +215,8 @@ runCampaign(const CampaignOptions &opts)
 std::vector<ProxyAuditRow>
 runProxyAudit(int width, size_t jobs)
 {
-    support::TraceScope span("proxy_audit", "fuzz");
+    support::SpanScope span("proxy_audit",
+                            support::SpanScope::Root::IfEnabled);
     const std::vector<workloads::ProxySpec> proxies =
         workloads::specint95Proxies();
 

@@ -6,7 +6,7 @@
  * Each generated program fans out into one cell per (scheme x
  * heuristic x width) with randomly drawn lowering toggles; cells are
  * sharded across a support::ThreadPool and each runs under a
- * TraceScope span. Failures are deduplicated per program by oracle,
+ * "fuzz_cell" span. Failures are deduplicated per program by oracle,
  * shrunk by the delta-debugging reducer, and written to the corpus
  * as self-describing .tir repro files that
  * tests/fuzz_regression_test.cc replays.

@@ -6,7 +6,7 @@
 
 #include "ir/verifier.h"
 #include "support/logging.h"
-#include "support/trace.h"
+#include "support/spans.h"
 #include "vliw/interpreter.h"
 
 namespace treegion::fuzz {
@@ -256,7 +256,7 @@ ReduceResult
 reduceModule(ir::Module &mod, const std::string &oracle,
              const OraclePredicate &pred, const ReduceOptions &opts)
 {
-    support::TraceScope span("reduce", "fuzz");
+    support::SpanScope span("reduce", support::SpanScope::Root::IfEnabled);
     span.arg("oracle", oracle);
     TG_ASSERT(mod.functions().size() == 1);
     // Size the candidate termination gate from the original's actual

@@ -143,6 +143,32 @@ class Verifier
         if (op.guard && op.guard->cls != RegClass::Pred)
             err(where() + ": guard must be a predicate register");
 
+        // GPR and predicate indices must stay below the declared
+        // gprs=/preds= counts, which size every register file
+        // downstream (liveness, the profiler, both simulators). BTRs
+        // have no declared count.
+        const auto checkIndex = [&](const Reg &r, const char *role) {
+            const bool is_gpr = r.cls == RegClass::Gpr;
+            if (!is_gpr && r.cls != RegClass::Pred)
+                return;
+            const uint32_t limit =
+                is_gpr ? fn_.numGprs() : fn_.numPreds();
+            if (r.idx >= limit)
+                err(where() + strprintf(": %s %s is out of range "
+                                        "(%s=%u)",
+                                        role, r.str().c_str(),
+                                        is_gpr ? "gprs" : "preds",
+                                        limit));
+        };
+        for (const Reg &d : op.dsts)
+            checkIndex(d, "destination");
+        for (const Operand &src : op.srcs) {
+            if (src.isReg())
+                checkIndex(src.reg, "source");
+        }
+        if (op.guard)
+            checkIndex(*op.guard, "guard");
+
         // Branch target arity.
         switch (op.opcode) {
           case Opcode::BRU:

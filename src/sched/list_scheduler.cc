@@ -12,7 +12,7 @@
 #include "support/arena.h"
 #include "support/logging.h"
 #include "support/remarks.h"
-#include "support/trace.h"
+#include "support/spans.h"
 
 namespace treegion::sched {
 
@@ -574,20 +574,20 @@ scheduleLoweredRegion(ir::Function &fn, LoweredRegion lowered,
     Arena &arena = schedArena();
     arena.reset();
     // Timing DDG construction and the placement separately gives the
-    // per-stage split the tracing layer reports (ddg_build vs
-    // list_sched). The Scheduler itself is arena-backed but the
-    // object is tiny; placement-new it into the arena too so the job
-    // performs no heap traffic at all.
+    // per-stage split the spans report (ddg_build vs list_sched). The
+    // Scheduler itself is arena-backed but the object is tiny;
+    // placement-new it into the arena too so the job performs no heap
+    // traffic at all.
     Scheduler *scheduler;
     {
-        support::TraceScope span("ddg_build", "sched");
+        support::SpanScope span("ddg_build");
         void *raw = arena.allocate(sizeof(Scheduler),
                                    alignof(Scheduler));
         scheduler = new (raw)
             Scheduler(fn, std::move(lowered), model, options, arena);
     }
     RegionSchedule sched = [&] {
-        support::TraceScope span("list_sched", "sched");
+        support::SpanScope span("list_sched");
         scheduler->place();
         return scheduler->assemble();
     }();
@@ -647,7 +647,7 @@ scheduleRegion(ir::Function &fn, const region::Region &r,
 {
     if (r.kind() == region::RegionKind::Hyperblock) {
         LoweredRegion lowered = [&] {
-            support::TraceScope span("lower", "sched");
+            support::SpanScope span("lower");
             return lowerHyperblock(fn, r, live);
         }();
         return scheduleLoweredRegion(fn, std::move(lowered), model,
@@ -656,7 +656,7 @@ scheduleRegion(ir::Function &fn, const region::Region &r,
     LowerOptions lower_options;
     lower_options.materialize_pbr = options.materialize_pbr;
     LoweredRegion lowered = [&] {
-        support::TraceScope span("lower", "sched");
+        support::SpanScope span("lower");
         return lowerRegion(fn, r, live, lower_options);
     }();
     return scheduleLoweredRegion(fn, std::move(lowered), model, options);

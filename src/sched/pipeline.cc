@@ -14,8 +14,8 @@
 #include "support/flightrec.h"
 #include "support/logging.h"
 #include "support/memstat.h"
+#include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 
 namespace treegion::sched {
 
@@ -163,8 +163,7 @@ parsePipelineOptions(const std::string &text, PipelineOptions &out,
 PipelineResult
 runPipeline(ir::Function &fn, const PipelineOptions &options)
 {
-    using support::TraceCollector;
-    using support::TraceScope;
+    using support::SpanScope;
 
     if (auto *remarks = support::currentRemarkStream())
         remarks->setFunction(fn.name());
@@ -189,9 +188,10 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
     };
 
     {
-        TraceScope span("formation");
-        span.arg("fn", fn.name())
-            .arg("scheme", regionSchemeName(options.scheme));
+        SpanScope span("formation");
+        if (span.live())
+            span.arg("fn", fn.name())
+                .arg("scheme", regionSchemeName(options.scheme));
         switch (options.scheme) {
           case RegionScheme::BasicBlock:
             result.regions = region::formBasicBlockRegions(fn);
@@ -215,9 +215,9 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
                 region::formHyperblocks(fn, options.hyperblock);
             break;
         }
+        span.arg("regions",
+                 static_cast<int64_t>(result.regions.regions().size()));
     }
-    TraceCollector::instance().addCounter(
-        "regions_formed", result.regions.regions().size());
     if (measure_mem)
         result.mem.formation_peak_bytes = stageMemPeak();
 
@@ -228,17 +228,19 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
     // reconciliation copies.
     std::unique_ptr<analysis::Liveness> live;
     {
-        TraceScope span("liveness");
-        span.arg("fn", fn.name());
+        SpanScope span("liveness");
+        if (span.live())
+            span.arg("fn", fn.name());
         live = std::make_unique<analysis::Liveness>(fn);
     }
     if (measure_mem)
         result.mem.liveness_peak_bytes = stageMemPeak();
 
-    TraceScope sched_span("schedule");
-    sched_span.arg("fn", fn.name())
-        .arg("scheme", regionSchemeName(options.scheme))
-        .arg("model", options.model.name);
+    SpanScope sched_span("schedule");
+    if (sched_span.live())
+        sched_span.arg("fn", fn.name())
+            .arg("scheme", regionSchemeName(options.scheme))
+            .arg("model", options.model.name);
     result.schedule.entry = fn.entry();
     size_t scheduled_ops = 0;
     for (const region::Region &r : result.regions.regions()) {
@@ -253,8 +255,7 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
         scheduled_ops += rs.ops.size();
         result.schedule.regions.emplace(r.root(), std::move(rs));
     }
-    TraceCollector::instance().addCounter("ops_scheduled",
-                                          scheduled_ops);
+    sched_span.arg("ops", static_cast<int64_t>(scheduled_ops));
     if (measure_mem)
         result.mem.schedule_peak_bytes = stageMemPeak();
     result.mem.sched_arena_high_water_bytes =
@@ -293,9 +294,10 @@ PipelineJobResult
 runOneJob(const PipelineJob &job)
 {
     TG_ASSERT(job.fn != nullptr);
-    support::TraceScope span("job", "driver");
-    span.arg("label",
-             job.label.empty() ? job.fn->name() : job.label);
+    support::SpanScope span("job", support::SpanScope::Root::IfEnabled);
+    if (span.live())
+        span.arg("label",
+                 job.label.empty() ? job.fn->name() : job.label);
     // If this job never returns, the flight recorder's dump shows
     // which function each worker was compiling when the process died.
     support::flightrec::note("job",

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "support/string_utils.h"
-#include "support/trace.h"
+#include "support/spans.h"
 
 namespace treegion::sched {
 
@@ -229,7 +229,7 @@ verifySchedule(const RegionSchedule &sched, int issue_width)
 std::vector<std::string>
 verifyFunctionSchedule(const FunctionSchedule &sched, int issue_width)
 {
-    support::TraceScope span("verify");
+    support::SpanScope span("verify");
     std::vector<std::string> problems;
     for (const auto &[root, rs] : sched.regions) {
         for (std::string &p : verifySchedule(rs, issue_width)) {

@@ -13,7 +13,6 @@
 
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 
 namespace treegion::service {
 
@@ -178,34 +177,18 @@ Client::syncClock(std::string *error)
     // NTP-style: assume the reply clock sample sits at the midpoint
     // of the round trip, so the error is bounded by rtt/2.
     const int64_t offset = resp.server_time_us - (t0 + t1) / 2;
-    support::TraceSpan s;
-    s.trace_hi = support::mintSpanId();
-    s.trace_lo = support::mintSpanId();
-    s.span = support::mintSpanId();
-    s.parent = 0;
-    s.name = "clock-sync";
-    s.service = collector.service();
-    s.tid = support::TraceCollector::currentThreadId();
-    s.start_us = t0;
-    s.dur_us = t1 - t0;
-    auto strArg = [](const char *key, std::string value) {
-        support::SpanArg a;
-        a.key = key;
-        a.type = support::SpanArg::Type::Str;
-        a.s = std::move(value);
-        return a;
-    };
-    auto intArg = [](const char *key, int64_t value) {
-        support::SpanArg a;
-        a.key = key;
-        a.type = support::SpanArg::Type::Int;
-        a.i = value;
-        return a;
-    };
-    s.args.push_back(strArg("member", address_));
-    s.args.push_back(intArg("offset_us", offset));
-    s.args.push_back(intArg("rtt_us", t1 - t0));
-    collector.record(std::move(s));
+    collector.record({.trace_hi = support::mintSpanId(),
+                      .trace_lo = support::mintSpanId(),
+                      .span = support::mintSpanId(),
+                      .parent = 0,
+                      .name = "clock-sync",
+                      .service = collector.service(),
+                      .tid = support::currentThreadId(),
+                      .start_us = t0,
+                      .dur_us = t1 - t0,
+                      .args = {support::strArg("member", address_),
+                               support::intArg("offset_us", offset),
+                               support::intArg("rtt_us", t1 - t0)}});
     return true;
 }
 

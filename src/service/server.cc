@@ -28,7 +28,6 @@
 #include "support/remarks.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 #include "workloads/profiler.h"
 
 namespace treegion::service {
@@ -321,8 +320,6 @@ Server::start(std::string *error)
         !watch(wake_pipe_[0], kWakeTag))
         return fail("epoll_ctl(pipe)");
 
-    if (!options_.trace_path.empty())
-        support::TraceCollector::instance().setEnabled(true);
     if (!options_.span_path.empty())
         support::SpanCollector::instance().configure(
             options_.span_sample);
@@ -881,8 +878,8 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
         // Join the caller's trace when the request carried one;
         // otherwise root a fresh server-local trace (sampled per
         // span_sample). Everything below — the pipeline stages'
-        // TraceScopes, cache lookups, fill sends — nests under this
-        // span through the ambient context.
+        // spans, cache lookups, fill sends — nests under this span
+        // through the ambient context.
         const support::SpanContextScope ctx_scope(
             incomingTraceContext(req, span_service_));
         support::SpanScope root("request",
@@ -1081,11 +1078,10 @@ Server::flushWrites(Conn &conn)
 Response
 Server::compileNow(const Request &req)
 {
-    // Dual-emitting scope: a "compile" event in the process-local
-    // Chrome trace and, when the request's trace is sampled, a
-    // "compile" span under the "request" root (the pipeline stages'
-    // own TraceScopes nest below it the same way).
-    support::TraceScope span("compile", "service");
+    // A "compile" span under the "request" root when the request's
+    // trace is sampled (the pipeline stages' own spans nest below it
+    // the same way).
+    support::SpanScope span("compile");
 
     // Warm fast path: byte-identical resubmissions (the steady state
     // of a farm recompiling an unchanged tree) skip parse + verify +
@@ -1344,8 +1340,8 @@ Server::statsJson() const
        << ",\"cluster\":"
        << support::strprintf(
               "{\"self\":\"%s\",\"peers\":%zu,\"alive_peers\":%zu}",
-              options_.self_address.c_str(), cluster_.size(),
-              alive_peers)
+              support::jsonEscape(options_.self_address).c_str(),
+              cluster_.size(), alive_peers)
        << ",\"build_info\":" << support::buildInfoJson()
        << support::strprintf(",\"uptime_s\":%.3f",
                              support::uptimeSeconds())
@@ -1418,13 +1414,6 @@ Server::flushTelemetry()
             TG_INFO("cannot write metrics to %s\n",
                     options_.metrics_path.c_str());
         }
-    }
-    if (!options_.trace_path.empty()) {
-        auto &collector = support::TraceCollector::instance();
-        if (!collector.writeChromeTraceFile(options_.trace_path))
-            TG_INFO("cannot write trace to %s\n",
-                    options_.trace_path.c_str());
-        collector.clear();
     }
     if (!options_.span_path.empty()) {
         auto &spans = support::SpanCollector::instance();

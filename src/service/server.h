@@ -121,9 +121,6 @@ struct ServerOptions
     /** Write the metrics JSON here on drain; empty = don't. */
     std::string metrics_path;
 
-    /** Write a Chrome trace here on drain; empty = tracing off. */
-    std::string trace_path;
-
     /**
      * Cluster membership: every replica's client-visible address
      * (including this one's). Non-empty = clustered; the ring over

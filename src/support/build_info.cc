@@ -3,7 +3,7 @@
 #include <chrono>
 #include <sstream>
 
-#include "support/trace.h" // jsonEscape
+#include "support/jsonl.h"
 
 #ifndef TG_GIT_DESCRIBE
 #define TG_GIT_DESCRIBE "unknown"

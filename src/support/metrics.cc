@@ -2,8 +2,8 @@
 
 #include <sstream>
 
+#include "support/jsonl.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 
 namespace treegion::support {
 

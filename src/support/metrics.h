@@ -4,9 +4,9 @@
  * service): monotonic counters plus latency histograms, collected
  * from any number of threads and exported as one JSON object.
  *
- * This is deliberately simpler than TraceCollector: traces answer
- * "what happened when" for one run, metrics answer "how is the
- * process doing" over its whole lifetime. A registry is cheap enough
+ * This is deliberately simpler than SpanCollector: spans answer
+ * "what happened when" for one run or request, metrics answer "how
+ * is the process doing" over its whole lifetime. A registry is cheap enough
  * to update on every request (one mutex acquisition), and snapshots
  * are consistent — toJson() sees counters and histograms from the
  * same instant.

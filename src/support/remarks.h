@@ -7,11 +7,11 @@
  * the performance estimate.
  *
  * Remarks are the audit trail the aggregate traces and counters
- * cannot give: a TraceScope says formation took 40 us, a remark says
- * growth stopped at bb7 because it is a merge point. Every bench
- * deviation becomes a grep instead of a debugger session, and two
- * runs (heuristic A vs B, -j1 vs -j8) can be diffed decision by
- * decision (tools/treegion-report).
+ * cannot give: a "formation" span says formation took 40 us, a
+ * remark says growth stopped at bb7 because it is a merge point.
+ * Every bench deviation becomes a grep instead of a debugger session,
+ * and two runs (heuristic A vs B, -j1 vs -j8) can be diffed decision
+ * by decision (tools/treegion-report).
  *
  * Design:
  *
@@ -46,6 +46,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "support/jsonl.h"
 
 namespace treegion::support {
 
@@ -101,18 +103,7 @@ const char *remarkPassName(RemarkKind kind);
 bool parseRemarkKind(const std::string &name, RemarkKind &out);
 
 /** One named argument of a remark (ordered; order is schema). */
-struct RemarkArg
-{
-    enum class Type { Int, Float, Str };
-
-    std::string key;
-    Type type = Type::Int;
-    int64_t i = 0;
-    double f = 0.0;
-    std::string s;
-
-    bool operator==(const RemarkArg &other) const = default;
-};
+using RemarkArg = JsonArg;
 
 /** One structured decision record. */
 struct Remark
@@ -136,10 +127,12 @@ struct Remark
 
 /**
  * Parse one JSON line produced by Remark::toJson back into a Remark,
- * enforcing the schema: known "kind", "pass" matching the kind's
- * pass, "fn" present, "block"/"op" integers, "args" an object of
- * int/float/string values, no unknown top-level keys, nothing after
- * the closing brace. @return false and set @p error on any violation.
+ * enforcing the schema on the strict flat-object reader
+ * (support/jsonl.h): known "kind", "pass" matching the kind's pass,
+ * "fn" present, "block"/"op" non-negative integers, "args" an object
+ * of int/float/string values, no unknown or repeated top-level keys,
+ * nothing after the closing brace. @return false and set @p error on
+ * any violation.
  */
 bool parseRemarkJson(const std::string &line, Remark &out,
                      std::string *error = nullptr);
@@ -163,9 +156,6 @@ class RemarkStream
     /** Stamp @p name into subsequently emitted remarks that carry no
      * function of their own. */
     void setFunction(std::string name) { function_ = std::move(name); }
-
-    /** @return the current function stamp. */
-    const std::string &function() const { return function_; }
 
     /** Count one remark of @p kind without recording it. */
     void note(RemarkKind kind) { ++counts_[static_cast<size_t>(kind)]; }
@@ -308,13 +298,9 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, T value)
     {
-        if (stream_) {
-            RemarkArg a;
-            a.key = key;
-            a.type = RemarkArg::Type::Int;
-            a.i = static_cast<int64_t>(value);
-            remark_.args.push_back(std::move(a));
-        }
+        if (stream_)
+            remark_.args.push_back(
+                intArg(key, static_cast<int64_t>(value)));
         return *this;
     }
 
@@ -322,13 +308,8 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, double value)
     {
-        if (stream_) {
-            RemarkArg a;
-            a.key = key;
-            a.type = RemarkArg::Type::Float;
-            a.f = value;
-            remark_.args.push_back(std::move(a));
-        }
+        if (stream_)
+            remark_.args.push_back(floatArg(key, value));
         return *this;
     }
 
@@ -336,13 +317,8 @@ class RemarkBuilder
     RemarkBuilder &
     arg(const char *key, std::string value)
     {
-        if (stream_) {
-            RemarkArg a;
-            a.key = key;
-            a.type = RemarkArg::Type::Str;
-            a.s = std::move(value);
-            remark_.args.push_back(std::move(a));
-        }
+        if (stream_)
+            remark_.args.push_back(strArg(key, std::move(value)));
         return *this;
     }
 

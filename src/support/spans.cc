@@ -1,17 +1,16 @@
 #include "support/spans.h"
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <random>
-#include <sstream>
 
 #include <time.h>
 
 #include "support/string_utils.h"
-#include "support/trace.h" // jsonEscape, currentThreadId
 
 namespace treegion::support {
 
@@ -22,6 +21,15 @@ epochUs()
     clock_gettime(CLOCK_REALTIME, &ts);
     return static_cast<int64_t>(ts.tv_sec) * 1000000 +
            ts.tv_nsec / 1000;
+}
+
+uint32_t
+currentThreadId()
+{
+    static std::atomic<uint32_t> next{0};
+    thread_local const uint32_t id =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return id;
 }
 
 namespace {
@@ -43,8 +51,7 @@ idState()
         uint64_t seed = (static_cast<uint64_t>(rd()) << 32) ^ rd();
         seed ^= static_cast<uint64_t>(
             std::chrono::steady_clock::now().time_since_epoch().count());
-        seed ^= static_cast<uint64_t>(TraceCollector::currentThreadId())
-                << 48;
+        seed ^= static_cast<uint64_t>(currentThreadId()) << 48;
         return seed;
     }();
     return state;
@@ -52,49 +59,12 @@ idState()
 
 thread_local SpanContext t_ambient;
 
-char
-hexDigit(unsigned v)
-{
-    return static_cast<char>(v < 10 ? '0' + v : 'a' + (v - 10));
-}
-
-void
-appendHex64(std::string &out, uint64_t v)
-{
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out += hexDigit(static_cast<unsigned>((v >> shift) & 0xf));
-}
-
+/** Parse exactly the 16 hex digits at @p p. */
 bool
 parseHex64(const char *p, uint64_t *out)
 {
-    uint64_t v = 0;
-    for (int k = 0; k < 16; ++k) {
-        const char c = p[k];
-        v <<= 4;
-        if (c >= '0' && c <= '9')
-            v |= static_cast<uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            v |= static_cast<uint64_t>(c - 'a' + 10);
-        else if (c >= 'A' && c <= 'F')
-            v |= static_cast<uint64_t>(c - 'A' + 10);
-        else
-            return false;
-    }
-    *out = v;
-    return true;
-}
-
-/** floatText twin of remarks.cc: %.17g, integral values keep their
- * Float type through a reparse via a trailing ".0". */
-std::string
-floatText(double value)
-{
-    std::string text = strprintf("%.17g", value);
-    if (text.find_first_of(".eE") == std::string::npos &&
-        text.find_first_not_of("-0123456789") == std::string::npos)
-        text += ".0";
-    return text;
+    const auto [end, ec] = std::from_chars(p, p + 16, *out, 16);
+    return ec == std::errc() && end == p + 16;
 }
 
 } // namespace
@@ -112,20 +82,13 @@ mintSpanId()
 std::string
 traceIdHex(uint64_t hi, uint64_t lo)
 {
-    std::string out;
-    out.reserve(32);
-    appendHex64(out, hi);
-    appendHex64(out, lo);
-    return out;
+    return strprintf("%016" PRIx64 "%016" PRIx64, hi, lo);
 }
 
 std::string
 spanIdHex(uint64_t id)
 {
-    std::string out;
-    out.reserve(16);
-    appendHex64(out, id);
-    return out;
+    return strprintf("%016" PRIx64, id);
 }
 
 bool
@@ -166,345 +129,151 @@ SpanContextScope::~SpanContextScope()
 std::string
 TraceSpan::toJson() const
 {
-    std::ostringstream os;
-    os << "{\"trace\":\"" << traceIdHex(trace_hi, trace_lo)
-       << "\",\"span\":\"" << spanIdHex(span) << "\",\"parent\":\""
-       << (parent ? spanIdHex(parent) : std::string())
-       << "\",\"name\":\"" << jsonEscape(name) << "\",\"svc\":\""
-       << jsonEscape(service) << "\",\"tid\":" << tid
-       << ",\"start_us\":" << start_us << ",\"dur_us\":" << dur_us
-       << ",\"args\":{";
-    bool first = true;
-    for (const SpanArg &a : args) {
-        os << (first ? "" : ",") << '"' << jsonEscape(a.key) << "\":";
-        switch (a.type) {
-          case SpanArg::Type::Int:
-            os << a.i;
-            break;
-          case SpanArg::Type::Float:
-            os << floatText(a.f);
-            break;
-          case SpanArg::Type::Str:
-            os << '"' << jsonEscape(a.s) << '"';
-            break;
-        }
-        first = false;
-    }
-    os << "}}";
-    return os.str();
+    std::string out = "{\"trace\":\"" + traceIdHex(trace_hi, trace_lo);
+    out += "\",\"span\":\"" + spanIdHex(span);
+    out += "\",\"parent\":\"";
+    if (parent)
+        out += spanIdHex(parent);
+    out += "\",\"name\":\"" + jsonEscape(name);
+    out += "\",\"svc\":\"" + jsonEscape(service);
+    out += "\",\"tid\":" + std::to_string(tid);
+    out += ",\"start_us\":" + std::to_string(start_us);
+    out += ",\"dur_us\":" + std::to_string(dur_us);
+    out += ",\"args\":";
+    appendJsonArgs(out, args);
+    out += '}';
+    return out;
 }
-
-namespace {
-
-/**
- * Strict recursive-descent parser for the span schema — the exact
- * subset TraceSpan::toJson emits, in the same spirit as remarks.cc's
- * RemarkParser: unknown fields, duplicated fields, missing fields,
- * non-scalar args and trailing bytes are all hard errors.
- */
-class SpanParser
-{
-  public:
-    SpanParser(const std::string &text, std::string *error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool
-    run(TraceSpan &out)
-    {
-        skipWs();
-        if (!expect('{'))
-            return false;
-        bool seen[8] = {false, false, false, false,
-                        false, false, false, false};
-        static const char *const kFields[8] = {
-            "trace", "span", "parent", "name",
-            "svc",   "tid",  "start_us", "dur_us"};
-        bool have_args = false;
-        bool first = true;
-        for (;;) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(','))
-                return false;
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key))
-                return false;
-            skipWs();
-            if (!expect(':'))
-                return false;
-            skipWs();
-            int field = -1;
-            for (int k = 0; k < 8; ++k) {
-                if (key == kFields[k]) {
-                    field = k;
-                    break;
-                }
-            }
-            if (field >= 0) {
-                if (seen[field])
-                    return fail("duplicate field '" + key + "'");
-                seen[field] = true;
-            }
-            if (key == "trace") {
-                std::string hex;
-                if (!parseString(hex))
-                    return false;
-                if (!parseTraceIdHex(hex, &out.trace_hi,
-                                     &out.trace_lo))
-                    return fail("'trace' must be 32 hex digits");
-                if ((out.trace_hi | out.trace_lo) == 0)
-                    return fail("'trace' must be non-zero");
-            } else if (key == "span") {
-                std::string hex;
-                if (!parseString(hex))
-                    return false;
-                if (!parseSpanIdHex(hex, &out.span))
-                    return fail("'span' must be 16 hex digits");
-                if (out.span == 0)
-                    return fail("'span' must be non-zero");
-            } else if (key == "parent") {
-                std::string hex;
-                if (!parseString(hex))
-                    return false;
-                if (hex.empty())
-                    out.parent = 0;
-                else if (!parseSpanIdHex(hex, &out.parent))
-                    return fail(
-                        "'parent' must be 16 hex digits or \"\"");
-            } else if (key == "name") {
-                if (!parseString(out.name))
-                    return false;
-            } else if (key == "svc") {
-                if (!parseString(out.service))
-                    return false;
-            } else if (key == "tid" || key == "start_us" ||
-                       key == "dur_us") {
-                SpanArg num;
-                if (!parseNumber(num))
-                    return false;
-                if (num.type != SpanArg::Type::Int)
-                    return fail("'" + key + "' must be an integer");
-                if (key == "tid") {
-                    if (num.i < 0)
-                        return fail("'tid' must be non-negative");
-                    out.tid = static_cast<uint32_t>(num.i);
-                } else if (key == "start_us") {
-                    out.start_us = num.i;
-                } else {
-                    out.dur_us = num.i;
-                }
-            } else if (key == "args") {
-                if (have_args)
-                    return fail("duplicate field 'args'");
-                have_args = true;
-                if (!parseArgs(out.args))
-                    return false;
-            } else {
-                return fail("unknown field '" + key + "'");
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing characters after the span object");
-        for (int k = 0; k < 8; ++k) {
-            if (!seen[k])
-                return fail(std::string("missing required field '") +
-                            kFields[k] + "'");
-        }
-        if (!have_args)
-            return fail("missing required field 'args'");
-        return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    fail(const std::string &why)
-    {
-        if (error_)
-            *error_ = why;
-        return false;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c)
-            return fail(strprintf("expected '%c' at offset %zu", c,
-                                  pos_));
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int k = 0; k < 4; ++k) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
-                }
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xc0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
-                return fail(strprintf("bad escape '\\%c'", esc));
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseNumber(SpanArg &out)
-    {
-        const size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        bool is_float = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                is_float = true;
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        if (pos_ == start)
-            return fail("expected a number");
-        const std::string token = text_.substr(start, pos_ - start);
-        errno = 0;
-        char *end = nullptr;
-        if (is_float) {
-            out.type = SpanArg::Type::Float;
-            out.f = std::strtod(token.c_str(), &end);
-        } else {
-            out.type = SpanArg::Type::Int;
-            out.i = std::strtoll(token.c_str(), &end, 10);
-        }
-        if (errno == ERANGE || end == nullptr || *end != '\0')
-            return fail("bad number '" + token + "'");
-        return true;
-    }
-
-    bool
-    parseArgs(std::vector<SpanArg> &out)
-    {
-        if (!expect('{'))
-            return false;
-        out.clear();
-        bool first = true;
-        for (;;) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            if (!first && !expect(','))
-                return false;
-            first = false;
-            skipWs();
-            SpanArg a;
-            if (!parseString(a.key))
-                return false;
-            skipWs();
-            if (!expect(':'))
-                return false;
-            skipWs();
-            if (peek() == '"') {
-                a.type = SpanArg::Type::Str;
-                if (!parseString(a.s))
-                    return false;
-            } else if (peek() == '{' || peek() == '[') {
-                return fail("argument '" + a.key +
-                            "' must be a scalar");
-            } else {
-                if (!parseNumber(a))
-                    return false;
-            }
-            out.push_back(std::move(a));
-        }
-    }
-
-    const std::string &text_;
-    std::string *error_;
-    size_t pos_ = 0;
-};
-
-} // namespace
 
 bool
 parseSpanJson(const std::string &line, TraceSpan &out, std::string *error)
 {
     out = TraceSpan{};
-    return SpanParser(line, error).run(out);
+    FlatJson obj;
+    if (!parseFlatJson(line, obj, error))
+        return false;
+    const auto fail = [error](const std::string &why) {
+        if (error)
+            *error = why;
+        return false;
+    };
+    // Fields 0-4 are strings, 5-7 integers; "args" is the object.
+    static const char *const kFields[8] = {
+        "trace", "span", "parent", "name",
+        "svc",   "tid",  "start_us", "dur_us"};
+    bool seen[8] = {};
+    for (const SpanArg &field : obj.fields) {
+        const int k = static_cast<int>(
+            std::find(kFields, kFields + 8, field.key) - kFields);
+        if (k == 8) {
+            return fail(field.key == "args"
+                            ? "'args' must be an object"
+                            : "unknown field '" + field.key + "'");
+        }
+        seen[k] = true;
+        if (k < 5 && field.type != SpanArg::Type::Str)
+            return fail("'" + field.key + "' must be a string");
+        if (k >= 5 && field.type != SpanArg::Type::Int)
+            return fail("'" + field.key + "' must be an integer");
+        const std::string &text = field.s;
+        switch (k) {
+          case 0:
+            if (!parseTraceIdHex(text, &out.trace_hi, &out.trace_lo))
+                return fail("'trace' must be 32 hex digits");
+            if ((out.trace_hi | out.trace_lo) == 0)
+                return fail("'trace' must be non-zero");
+            break;
+          case 1:
+            if (!parseSpanIdHex(text, &out.span))
+                return fail("'span' must be 16 hex digits");
+            if (out.span == 0)
+                return fail("'span' must be non-zero");
+            break;
+          case 2:
+            if (!text.empty() && !parseSpanIdHex(text, &out.parent))
+                return fail("'parent' must be 16 hex digits or \"\"");
+            break;
+          case 3:
+            out.name = text;
+            break;
+          case 4:
+            out.service = text;
+            break;
+          case 5:
+            if (field.i < 0 || field.i > UINT32_MAX)
+                return fail("'tid' must be a non-negative 32-bit "
+                            "integer");
+            out.tid = static_cast<uint32_t>(field.i);
+            break;
+          case 6:
+            out.start_us = field.i;
+            break;
+          default:
+            out.dur_us = field.i;
+            break;
+        }
+    }
+    for (int k = 0; k < 8; ++k) {
+        if (!seen[k])
+            return fail(std::string("missing required field '") +
+                        kFields[k] + "'");
+    }
+    if (!obj.has_object)
+        return fail("missing required field 'args'");
+    if (obj.object_key != "args")
+        return fail("'" + obj.object_key + "' must be a scalar");
+    out.args = std::move(obj.object);
+    return true;
+}
+
+std::string
+chromeTraceJson(const std::vector<TraceSpan> &spans)
+{
+    // One Chrome "process" per service, so each replica and each
+    // client gets its own swimlane group in the viewer.
+    std::map<std::string, int> pids;
+    for (const TraceSpan &s : spans)
+        pids.emplace(s.service, static_cast<int>(pids.size()) + 1);
+    std::string out = "{\"traceEvents\":[";
+    bool first = true;
+    for (const auto &[svc, pid] : pids) {
+        out += first ? "\n" : ",\n";
+        out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+               std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
+               jsonEscape(svc) + "\"}}";
+        first = false;
+    }
+    for (const TraceSpan &s : spans) {
+        out += first ? "\n" : ",\n";
+        out += "{\"name\":\"" + jsonEscape(s.name) +
+               "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":" +
+               std::to_string(s.start_us) +
+               ",\"dur\":" + std::to_string(s.dur_us) +
+               ",\"pid\":" + std::to_string(pids[s.service]) +
+               ",\"tid\":" + std::to_string(s.tid) + ",\"args\":";
+        std::vector<SpanArg> args = {
+            strArg("trace", traceIdHex(s.trace_hi, s.trace_lo)),
+            strArg("span", spanIdHex(s.span))};
+        args.insert(args.end(), s.args.begin(), s.args.end());
+        appendJsonArgs(out, args);
+        out += '}';
+        first = false;
+    }
+    out += "],\"displayTimeUnit\":\"ms\"}\n";
+    return out;
+}
+
+bool
+writeChromeTraceFile(const std::string &path,
+                     const std::vector<TraceSpan> &spans)
+{
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const std::string json = chromeTraceJson(spans);
+    const bool ok = std::fwrite(json.data(), 1, json.size(), f) ==
+                    json.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 // ---- collector -----------------------------------------------------
@@ -540,13 +309,6 @@ void
 SpanCollector::setEnabled(bool enabled)
 {
     enabled_.store(enabled, std::memory_order_relaxed);
-}
-
-double
-SpanCollector::sampleRate() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sample_rate_;
 }
 
 bool
@@ -652,6 +414,30 @@ SpanCollector::clear()
 
 // ---- scopes --------------------------------------------------------
 
+namespace {
+
+/** Record [@p start_us, @p end_us] as span ctx.span of ctx's trace,
+ * a child of @p parent (0 for a root). */
+void
+recordSpan(const SpanContext &ctx, uint64_t parent, const char *name,
+           int64_t start_us, int64_t end_us, std::vector<SpanArg> args)
+{
+    SpanCollector &collector = SpanCollector::instance();
+    collector.record(
+        {.trace_hi = ctx.trace_hi,
+         .trace_lo = ctx.trace_lo,
+         .span = ctx.span,
+         .parent = parent,
+         .name = name,
+         .service = ctx.service ? ctx.service : collector.service(),
+         .tid = currentThreadId(),
+         .start_us = start_us,
+         .dur_us = std::max<int64_t>(end_us - start_us, 0),
+         .args = std::move(args)});
+}
+
+} // namespace
+
 SpanScope::SpanScope(const char *name, Root root,
                      const char *service)
     : name_(name)
@@ -696,63 +482,31 @@ SpanScope::finish()
     if (!live_)
         return;
     live_ = false;
-    SpanCollector &collector = SpanCollector::instance();
-    TraceSpan s;
-    s.trace_hi = ctx_.trace_hi;
-    s.trace_lo = ctx_.trace_lo;
-    s.span = ctx_.span;
-    s.parent = parent_;
-    s.name = name_;
-    s.service = ctx_.service ? ctx_.service : collector.service();
-    s.tid = TraceCollector::currentThreadId();
-    s.start_us = start_us_;
-    s.dur_us = epochUs() - start_us_;
-    s.args = std::move(args_);
-    collector.record(std::move(s));
+    recordSpan(ctx_, parent_, name_, start_us_, epochUs(),
+               std::move(args_));
 }
 
 SpanScope &
 SpanScope::arg(const char *key, std::string value)
 {
-    if (live_) {
-        SpanArg a;
-        a.key = key;
-        a.type = SpanArg::Type::Str;
-        a.s = std::move(value);
-        args_.push_back(std::move(a));
-    }
+    if (live_)
+        args_.push_back(strArg(key, std::move(value)));
     return *this;
-}
-
-SpanScope &
-SpanScope::arg(const char *key, const char *value)
-{
-    return arg(key, std::string(value));
 }
 
 SpanScope &
 SpanScope::arg(const char *key, int64_t value)
 {
-    if (live_) {
-        SpanArg a;
-        a.key = key;
-        a.type = SpanArg::Type::Int;
-        a.i = value;
-        args_.push_back(std::move(a));
-    }
+    if (live_)
+        args_.push_back(intArg(key, value));
     return *this;
 }
 
 SpanScope &
 SpanScope::arg(const char *key, double value)
 {
-    if (live_) {
-        SpanArg a;
-        a.key = key;
-        a.type = SpanArg::Type::Float;
-        a.f = value;
-        args_.push_back(std::move(a));
-    }
+    if (live_)
+        args_.push_back(floatArg(key, value));
     return *this;
 }
 
@@ -760,24 +514,12 @@ void
 noteSpan(const SpanContext &parent, const char *name,
          int64_t start_us, int64_t end_us, std::vector<SpanArg> args)
 {
-    if (!parent.valid() || !parent.sampled)
+    if (!parent.valid() || !parent.sampled ||
+        !SpanCollector::instance().enabled())
         return;
-    SpanCollector &collector = SpanCollector::instance();
-    if (!collector.enabled())
-        return;
-    TraceSpan s;
-    s.trace_hi = parent.trace_hi;
-    s.trace_lo = parent.trace_lo;
-    s.span = mintSpanId();
-    s.parent = parent.span;
-    s.name = name;
-    s.service =
-        parent.service ? parent.service : collector.service();
-    s.tid = TraceCollector::currentThreadId();
-    s.start_us = start_us;
-    s.dur_us = end_us > start_us ? end_us - start_us : 0;
-    s.args = std::move(args);
-    collector.record(std::move(s));
+    SpanContext ctx = parent;
+    ctx.span = mintSpanId();
+    recordSpan(ctx, parent.span, name, start_us, end_us, std::move(args));
 }
 
 } // namespace treegion::support

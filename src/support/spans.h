@@ -5,29 +5,33 @@
  * per request, and a process-wide collector that serializes them as
  * schema-stable JSONL (`treegion-span/v1`).
  *
- * Where support/trace.h answers "how long did stage X take in this
- * process", a span answers "where did *this request* spend its time
- * across the whole farm": the client mints a trace id, forwards it as
- * `trace-id`/`parent-span` protocol headers, every replica that
- * touches the request (queue, memory gate, cache, compile stages,
- * peer fill, response write) records children of the client's span,
- * and `treegion-report --trace-merge` reassembles the files from all
- * parties into one tree per request.
+ * Spans are the one interval recorder. A span answers "where did
+ * *this request* spend its time across the whole farm": the client
+ * mints a trace id, forwards it as `trace-id`/`parent-span` protocol
+ * headers, every replica that touches the request (queue, memory
+ * gate, cache, compile stages, peer fill, response write) records
+ * children of the client's span, and `treegion-report --trace-merge`
+ * reassembles the files from all parties into one tree per request.
+ * The same scopes time a local run: `treegionc --trace-json` roots a
+ * trace around the run, every pipeline stage below it records a
+ * child, and writeChromeTraceFile renders the buffer for
+ * chrome://tracing.
  *
  * Design, mirroring support/remarks.h:
  *
  *  - A TraceSpan serializes to one JSON line with a fixed key order and
- *    parses back losslessly through a strict parser that rejects
- *    unknown fields, duplicates, missing fields and trailing bytes —
- *    the span stream is a wire format, not debug output.
+ *    parses back losslessly through the strict flat-object reader of
+ *    support/jsonl.h, which rejects repeated keys and trailing bytes;
+ *    the span schema adds unknown and missing fields — the span
+ *    stream is a wire format, not debug output.
  *
  *  - Propagation is ambient and thread-local. A SpanContextScope
  *    installs the incoming request's context for the current thread;
- *    every SpanScope below it (including the ones embedded in
- *    TraceScope) becomes a child automatically. With no ambient
- *    context and the collector disabled, a SpanScope is inert: one
- *    thread-local read, one relaxed atomic load, zero allocation —
- *    the zero-allocation steady-state pin covers this path.
+ *    every SpanScope below it (the pipeline's stage scopes included)
+ *    becomes a child automatically. With no ambient context and the
+ *    collector disabled, a SpanScope is inert: one thread-local read,
+ *    one relaxed atomic load, zero allocation — the zero-allocation
+ *    steady-state pin covers this path.
  *
  *  - Sampling is decided once, at the root: an unsampled trace
  *    propagates nothing and records nothing downstream. Timestamps
@@ -40,15 +44,19 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "support/jsonl.h"
 
 namespace treegion::support {
 
 /** Current wall-clock time in microseconds since the Unix epoch. */
 int64_t epochUs();
+
+/** Stable small id of the calling thread (assigned on first use). */
+uint32_t currentThreadId();
 
 /** @return a fresh non-zero 64-bit id (thread-local splitmix64
  * seeded from the system entropy source). */
@@ -115,18 +123,7 @@ class SpanContextScope
 };
 
 /** One named argument of a span (ordered; order is schema). */
-struct SpanArg
-{
-    enum class Type { Int, Float, Str };
-
-    std::string key;
-    Type type = Type::Int;
-    int64_t i = 0;
-    double f = 0.0;
-    std::string s;
-
-    bool operator==(const SpanArg &other) const = default;
-};
+using SpanArg = JsonArg;
 
 /** One completed span: a named interval inside one trace. */
 struct TraceSpan
@@ -166,6 +163,21 @@ bool parseSpanJson(const std::string &line, TraceSpan &out,
                    std::string *error = nullptr);
 
 /**
+ * Render @p spans as one Chrome trace in the JSON object format
+ * (`{"traceEvents":[...],"displayTimeUnit":"ms"}`, loadable in
+ * chrome://tracing or https://ui.perfetto.dev): one process per
+ * service, named by a metadata event, and one complete ("X") event
+ * per span whose args are the span's trace and span ids followed by
+ * its own args.
+ */
+std::string chromeTraceJson(const std::vector<TraceSpan> &spans);
+
+/** Write chromeTraceJson(@p spans) to @p path. @return false on I/O
+ * failure. */
+bool writeChromeTraceFile(const std::string &path,
+                          const std::vector<TraceSpan> &spans);
+
+/**
  * Process-wide sink for completed spans. Off by default; while off,
  * recording sites are inert. On, spans buffer in memory (bounded —
  * overflow increments dropped()) until written as JSONL.
@@ -189,8 +201,6 @@ class SpanCollector
     {
         return enabled_.load(std::memory_order_relaxed);
     }
-
-    double sampleRate() const;
 
     /** Roll the sampling decision for a new root trace. */
     bool sampleNewTrace();
@@ -276,7 +286,6 @@ class SpanScope
     void finish();
 
     SpanScope &arg(const char *key, std::string value);
-    SpanScope &arg(const char *key, const char *value);
     SpanScope &arg(const char *key, int64_t value);
     SpanScope &arg(const char *key, double value);
 

@@ -40,7 +40,6 @@
 #include "support/flightrec.h"
 #include "support/metrics.h"
 #include "support/spans.h"
-#include "support/trace.h"
 #include "workloads/profiler.h"
 #include "workloads/synthetic.h"
 
@@ -178,8 +177,8 @@ TEST(AllocRegression, RegionCostIgnoresFunctionRegisterCount)
  * The tracing observers are compiled into every binary; the claim
  * that keeps them free is that DISABLED observers cost nothing on
  * the hot path — no clock reads and, pinned here, no allocation.
- * Inert TraceScope/SpanScope construction, ambient-context reads and
- * flight-recorder notes must all run heap-free, or always-on
+ * Inert SpanScope construction (child-only and root), ambient-context
+ * reads and flight-recorder notes must all run heap-free, or always-on
  * instrumentation would break the arena steady-state property above.
  */
 TEST(AllocRegression, DisabledTracingObserversAreHeapFree)
@@ -192,7 +191,6 @@ TEST(AllocRegression, DisabledTracingObserversAreHeapFree)
     {
         tg_test::AllocGuard guard;
         for (int i = 0; i < 256; ++i) {
-            support::TraceScope stage("schedule");
             support::SpanScope child("cache-lookup");
             support::SpanScope root(
                 "request", support::SpanScope::Root::IfEnabled);

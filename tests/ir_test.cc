@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "ir/builder.h"
 #include "ir/module.h"
+#include "ir/parser.h"
 #include "ir/verifier.h"
 
 namespace treegion::ir {
@@ -300,6 +304,86 @@ TEST(Verifier, RejectsUnreachableBlock)
     const auto problems = verifyFunction(fn, VerifyLevel::Structural);
     ASSERT_FALSE(problems.empty());
     EXPECT_NE(problems[0].find("unreachable"), std::string::npos);
+}
+
+/** @p path's text with its first @p from replaced by @p to. */
+std::string
+mutatedFile(const std::string &path, const std::string &from,
+            const std::string &to)
+{
+    std::ifstream file(path);
+    std::ostringstream text;
+    text << file.rdbuf();
+    std::string out = text.str();
+    const size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << path << " lacks " << from;
+    if (at != std::string::npos)
+        out.replace(at, from.size(), to);
+    return out;
+}
+
+TEST(Verifier, RejectsRegistersPastTheDeclaredCounts)
+{
+    // Both used to abort the process in the register files sized by
+    // gprs=: a source past the count, and a header whose gprs= was
+    // mangled away (so every GPR is out of range).
+    const struct
+    {
+        std::string text;
+        const char *problem;
+    } cases[] = {
+        {mutatedFile(TREEGION_GOLDEN_DIR "/inputs/fuzz08.tir",
+                     "r86 = OR r28, r43", "r86 = OR r248, r43"),
+         "source r248 is out of range (gprs=187)"},
+        {mutatedFile(TREEGION_EXAMPLES_DIR "/sum_loop.tir",
+                     "entry=bb0 gprs=16", "entry=bbrs=16"),
+         "destination r0 is out of range (gprs=0)"},
+    };
+    for (const auto &c : cases) {
+        std::string error;
+        auto mod = parseModule(c.text, &error);
+        ASSERT_TRUE(mod) << error;
+        for (const VerifyLevel level :
+             {VerifyLevel::Structural, VerifyLevel::Schedulable}) {
+            const auto problems =
+                verifyFunction(*mod->functions().front(), level);
+            bool named = false;
+            for (const std::string &p : problems)
+                named |= p.find(c.problem) != std::string::npos;
+            EXPECT_TRUE(named) << c.problem;
+        }
+    }
+}
+
+TEST(Verifier, ChecksPredicateAndGuardIndices)
+{
+    Function fn("f");
+    const BlockId a = fn.createBlock();
+    fn.setEntry(a);
+    fn.reserveRegs(2, 1, 0);
+    Op movi = makeMovi(gpr(1), 1);
+    movi.guard = pred(3);
+    fn.appendOp(a, std::move(movi));
+    fn.appendOp(a, makeCmpp(CmpKind::LT, pred(0), pred(1),
+                            Operand::makeReg(gpr(1)),
+                            Operand::makeImm(2)));
+    // A BTR has no declared count, so btr(9) is fine.
+    fn.appendOp(a, makePbr(btr(9), a));
+    fn.appendTerminator(a, makeRet(Operand::makeReg(gpr(2))));
+    const auto problems = verifyFunction(fn, VerifyLevel::Structural);
+    const auto has = [&](const char *text) {
+        for (const std::string &p : problems) {
+            if (p.find(text) != std::string::npos)
+                return true;
+        }
+        return false;
+    };
+    EXPECT_TRUE(has("guard p3 is out of range (preds=1)"));
+    EXPECT_TRUE(has("destination p1 is out of range (preds=1)"));
+    EXPECT_FALSE(has("destination p0"));
+    EXPECT_TRUE(has("source r2 is out of range (gprs=2)"));
+    EXPECT_FALSE(has("b9"));
+    EXPECT_EQ(problems.size(), 3u);
 }
 
 TEST(Module, FunctionsByName)

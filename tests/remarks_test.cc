@@ -132,6 +132,17 @@ TEST(RemarkJson, RejectsSchemaViolations)
         {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
          "\"args\":{\"x\":{}}}",
          "nested args value"},
+        {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"a\","
+         "\"fn\":\"b\"}",
+         "repeated fn"},
+        {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
+         "\"args\":{\"x\":1},\"args\":{\"y\":2}}",
+         "repeated args"},
+        {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":7}",
+         "fn must be a string"},
+        {"{\"pass\":\"sched\",\"kind\":\"renamed\",\"fn\":\"f\","
+         "\"args\":3}",
+         "args must be an object"},
         {"not json at all", "not an object"},
         {"", "empty line"},
     };
@@ -471,6 +482,34 @@ loadSumLoop()
             workloads::profileFunction(*fn, mod->memWords());
     }
     return mod;
+}
+
+TEST(PipelineRemarks, SumLoopLinesReserializeByteForByte)
+{
+    auto mod = loadSumLoop();
+    ASSERT_NE(mod, nullptr);
+    size_t lines = 0;
+    for (const sched::RegionScheme scheme :
+         {sched::RegionScheme::BasicBlock, sched::RegionScheme::Slr,
+          sched::RegionScheme::Superblock, sched::RegionScheme::Treegion,
+          sched::RegionScheme::TreegionTailDup,
+          sched::RegionScheme::Hyperblock}) {
+        sched::PipelineOptions options;
+        options.scheme = scheme;
+        const RemarkRun run =
+            compileWithRemarks(mod->function("main"), options);
+        std::istringstream stream(run.stream.toJsonLines());
+        std::string line;
+        while (std::getline(stream, line)) {
+            Remark back;
+            std::string error;
+            ASSERT_TRUE(parseRemarkJson(line, back, &error))
+                << error << ": " << line;
+            EXPECT_EQ(back.toJson(), line);
+            ++lines;
+        }
+    }
+    EXPECT_GT(lines, 0u);
 }
 
 TEST(PipelineRemarks, SumLoopCoversEveryKindOnce)

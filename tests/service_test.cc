@@ -648,6 +648,35 @@ TEST_F(ServiceEndToEnd, OpPastTheOperandCapacityIsAnError)
     EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
 }
 
+TEST_F(ServiceEndToEnd, RegisterPastTheDeclaredCountIsAnError)
+{
+    startServer({});
+    // Register files downstream are sized by gprs=: a source past it,
+    // or a header that lost its gprs=, used to abort the worker (and
+    // with it the daemon) in the training-profile interpreter.
+    Request past = compileRequest();
+    replaceAll(past.module_text, "r4 = ADD r3, r1\n",
+               "r4 = ADD r248, r1\n");
+    Request undeclared = compileRequest();
+    replaceAll(undeclared.module_text, "entry=bb0 gprs=16",
+               "entry=bbrs=16");
+    for (const auto &[req, reg] :
+         {std::pair{past, "source r248"},
+          std::pair{undeclared, "destination r0"}}) {
+        const Response resp = callOnce(req);
+        EXPECT_EQ(resp.status, status::kError);
+        EXPECT_NE(resp.error.find(std::string(reg) +
+                                  " is out of range"),
+                  std::string::npos)
+            << resp.error;
+    }
+
+    // The same server still compiles.
+    const Response ok = callOnce(compileRequest());
+    ASSERT_EQ(ok.status, status::kOk) << ok.error;
+    EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
+}
+
 TEST_F(ServiceEndToEnd, StatsRemarkCountersEqualFullStreams)
 {
     // The miss path counts remarks without building them; /stats must

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,12 +25,15 @@
 
 #include <gtest/gtest.h>
 
+#include "sched/pipeline.h"
+#include "sched/schedule_verifier.h"
 #include "support/build_info.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
+#include "workloads/profiler.h"
+#include "workloads/spec_proxy.h"
 
 using namespace treegion;
 
@@ -182,6 +186,13 @@ TEST_F(SpanTest, ParserRejectsMalformedLines)
     // Duplicate field.
     bad = good;
     bad.insert(bad.size() - 1, ",\"tid\":7");
+    EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
+    EXPECT_NE(error.find("duplicate field 'tid'"), std::string::npos)
+        << error;
+
+    // A second args object.
+    bad = good;
+    bad.insert(bad.size() - 1, ",\"args\":{}");
     EXPECT_FALSE(support::parseSpanJson(bad, out, &error));
 
     // Missing field.
@@ -338,23 +349,78 @@ TEST_F(SpanTest, NoteSpanAttachesCompletedInterval)
     EXPECT_EQ(spans[0].dur_us, 150);
 }
 
-TEST_F(SpanTest, TraceScopeEmitsSpanChildUnderAmbientTrace)
+/**
+ * Compile and verify the first SPECint95 proxy (profiled) under a
+ * sampled "request" root, as a traced server request would.
+ */
+void
+tracedCompile()
+{
+    const auto proxies = workloads::specint95Proxies();
+    auto mod = workloads::buildProxy(proxies.front());
+    ir::Function &fn = *mod->functions().front();
+    workloads::profileFunction(fn, mod->memWords());
+    support::SpanScope root("request",
+                            support::SpanScope::Root::IfEnabled);
+    ASSERT_TRUE(root.live());
+    root.arg("verb", "compile").arg("ratio", 0.5);
+    sched::PipelineOptions options;
+    options.scheme = sched::RegionScheme::TreegionTailDup;
+    const auto result = sched::runPipeline(fn, options);
+    sched::verifyFunctionSchedule(result.schedule,
+                                  options.model.issue_width);
+}
+
+TEST_F(SpanTest, StageSpansAreChildrenOfTheAmbientTrace)
 {
     auto &collector = support::SpanCollector::instance();
     collector.configure(1.0);
-    {
-        support::SpanScope root("request",
-                                support::SpanScope::Root::IfEnabled);
-        ASSERT_TRUE(root.live());
-        // The pipeline's existing instrumentation points: TraceScope
-        // doubles as a distributed span when an ambient trace exists.
-        support::TraceScope stage("formation");
-    }
+    tracedCompile();
     const auto spans = collector.snapshot();
-    ASSERT_EQ(spans.size(), 2u);
-    EXPECT_EQ(spans[0].name, "formation");
-    EXPECT_EQ(spans[1].name, "request");
-    EXPECT_EQ(spans[0].parent, spans[1].span);
+    ASSERT_FALSE(spans.empty());
+    const support::TraceSpan &root = spans.back();
+    EXPECT_EQ(root.name, "request");
+    std::map<std::string, size_t> by_name;
+    for (const support::TraceSpan &s : spans) {
+        ++by_name[s.name];
+        EXPECT_EQ(s.trace_lo, root.trace_lo) << s.name;
+    }
+    for (const char *stage :
+         {"formation", "liveness", "schedule", "verify"}) {
+        EXPECT_EQ(by_name[stage], 1u) << stage;
+        for (const support::TraceSpan &s : spans) {
+            if (s.name == stage) {
+                EXPECT_EQ(s.parent, root.span) << stage;
+            }
+        }
+    }
+    // One lowering, DDG build and placement per region.
+    EXPECT_GT(by_name["lower"], 0u);
+    EXPECT_EQ(by_name["ddg_build"], by_name["lower"]);
+    EXPECT_EQ(by_name["list_sched"], by_name["lower"]);
+}
+
+TEST_F(SpanTest, TracedCompileLinesReserializeByteForByte)
+{
+    auto &collector = support::SpanCollector::instance();
+    collector.configure(1.0);
+    tracedCompile();
+    const std::string path =
+        ::testing::TempDir() + "/span_traced_compile.jsonl";
+    ASSERT_TRUE(collector.writeJsonl(path));
+    std::ifstream file(path);
+    std::string line;
+    size_t lines = 0;
+    while (std::getline(file, line)) {
+        support::TraceSpan s;
+        std::string error;
+        ASSERT_TRUE(support::parseSpanJson(line, s, &error))
+            << error << ": " << line;
+        EXPECT_EQ(s.toJson(), line);
+        ++lines;
+    }
+    EXPECT_GT(lines, 8u);
+    ::unlink(path.c_str());
 }
 
 TEST_F(SpanTest, WriteJsonlRoundTripsThroughParser)

@@ -21,7 +21,9 @@
  *   --tamper K           fault injection (1 = corrupt an exit cycle)
  *   --proxy-audit W      instead of fuzzing, run all oracles over
  *                        the SPECint95 proxies at issue width W
- *   --trace-json FILE    dump Chrome trace events to FILE
+ *   --trace-json FILE    record a span per campaign, program, cell,
+ *                        reduction and pipeline stage and write them
+ *                        to FILE as Chrome trace events
  *   --flight-rec FILE    dump the crash flight recorder here when a
  *                        worker panics or dies on a fatal signal —
  *                        the last events of every thread, so a crash
@@ -40,7 +42,7 @@
 #include "fuzz/campaign.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
-#include "support/trace.h"
+#include "support/spans.h"
 
 using namespace treegion;
 
@@ -124,8 +126,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (!trace_json.empty())
-        support::TraceCollector::instance().setEnabled(true);
+    auto &spans = support::SpanCollector::instance();
+    if (!trace_json.empty()) {
+        spans.setService("treegion-fuzz");
+        spans.configure(1.0);
+    }
     if (!flightrec_path.empty()) {
         support::flightrec::setDumpPath(flightrec_path.c_str());
         support::flightrec::installCrashHandlers();
@@ -150,11 +155,16 @@ main(int argc, char **argv)
         status = result.failures == 0 ? 0 : 1;
     }
 
-    if (!trace_json.empty() &&
-        !support::TraceCollector::instance().writeChromeTraceFile(
-            trace_json)) {
+    if (trace_json.empty())
+        return status;
+    if (support::writeChromeTraceFile(trace_json, spans.snapshot()))
+        std::fprintf(stderr,
+                     "trace written to %s (%llu spans dropped past the "
+                     "buffer cap)\n",
+                     trace_json.c_str(),
+                     static_cast<unsigned long long>(spans.dropped()));
+    else
         std::fprintf(stderr, "cannot write trace to %s\n",
                      trace_json.c_str());
-    }
     return status;
 }

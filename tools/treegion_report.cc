@@ -57,7 +57,6 @@
 #include "support/remarks.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
-#include "support/trace.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
 
@@ -263,26 +262,6 @@ argText(const support::SpanArg &a)
     return "";
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += support::strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 /** One trace's spans, indexed for tree walking. */
 struct TraceTree
 {
@@ -376,47 +355,6 @@ printBreakdown(const std::vector<support::TraceSpan> &spans,
                 network / 1000.0, queue / 1000.0, park / 1000.0,
                 lookup / 1000.0, compile / 1000.0, write / 1000.0,
                 other / 1000.0);
-}
-
-bool
-writeChromeTrace(const std::string &path,
-                 const std::vector<support::TraceSpan> &spans)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    // One Chrome "process" per service, so each replica and each
-    // client gets its own swimlane group in the viewer.
-    std::map<std::string, int> pids;
-    for (const support::TraceSpan &s : spans)
-        pids.emplace(s.service, static_cast<int>(pids.size()) + 1);
-    out << "[";
-    bool first = true;
-    for (const auto &[svc, pid] : pids) {
-        out << (first ? "" : ",") << "\n"
-            << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-            << pid << ",\"tid\":0,\"args\":{\"name\":\""
-            << jsonEscape(svc) << "\"}}";
-        first = false;
-    }
-    for (const support::TraceSpan &s : spans) {
-        out << (first ? "" : ",") << "\n"
-            << "{\"name\":\"" << jsonEscape(s.name)
-            << "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":" << s.start_us
-            << ",\"dur\":" << s.dur_us
-            << ",\"pid\":" << pids[s.service] << ",\"tid\":" << s.tid
-            << ",\"args\":{\"trace\":\""
-            << support::traceIdHex(s.trace_hi, s.trace_lo)
-            << "\",\"span\":\"" << support::spanIdHex(s.span) << "\"";
-        for (const support::SpanArg &a : s.args) {
-            out << ",\"" << jsonEscape(a.key) << "\":\""
-                << jsonEscape(argText(a)) << "\"";
-        }
-        out << "}}";
-        first = false;
-    }
-    out << "\n]\n";
-    return out.good();
 }
 
 int
@@ -600,7 +538,7 @@ runTraceMerge(const CliOptions &cli)
                 offsets.size(), svc_note.c_str());
 
     if (!cli.chrome_path.empty()) {
-        if (!writeChromeTrace(cli.chrome_path, spans)) {
+        if (!support::writeChromeTraceFile(cli.chrome_path, spans)) {
             std::fprintf(stderr, "cannot write %s\n",
                          cli.chrome_path.c_str());
             return 1;

@@ -41,8 +41,9 @@
  *                        oversized job runs solo (default 0 = off)
  *   --all-functions      compile every function in the module
  *   --sweep              compile every scheme x heuristic config
- *   --trace-json FILE    dump per-stage Chrome trace events to FILE
- *                        (load in chrome://tracing or perfetto)
+ *   --trace-json FILE    record a span per pipeline stage and write
+ *                        them to FILE as Chrome trace events (load
+ *                        in chrome://tracing or perfetto)
  *   --flight-rec FILE    crash flight recorder: dump each thread's
  *                        ring of recent events (job starts, stage
  *                        entries) to FILE as JSONL on TG_PANIC or a
@@ -76,6 +77,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -93,7 +95,6 @@
 #include "support/spans.h"
 #include "support/string_utils.h"
 #include "support/remarks.h"
-#include "support/trace.h"
 #include "vliw/equivalence.h"
 #include "workloads/profiler.h"
 
@@ -314,10 +315,14 @@ runBatch(const std::vector<ir::Function *> &fns, const CliOptions &cli)
     std::vector<char> verify_failed(batch.size(), 0);
     const bool want_remarks = !cli.remarks_path.empty();
 
+    // The sink runs on the pool's workers: carry this thread's trace
+    // context over so each job's "verify" span lands in the trace.
+    const support::SpanContext trace = support::currentSpanContext();
     sched::ParallelRunOptions run;
     run.num_threads = cli.jobs;
     run.mem_budget_bytes = cli.mem_budget_bytes;
     run.sink = [&](sched::PipelineJobResult &&jr) {
+        const support::SpanContextScope in_trace(trace);
         const size_t i = jr.job_index;
         const auto problems = sched::verifyFunctionSchedule(
             jr.result.schedule, batch[i].options.model.issue_width);
@@ -496,8 +501,6 @@ main(int argc, char **argv)
     if (cli.input.empty())
         return usage(argv[0]);
 
-    if (!cli.trace_json.empty())
-        support::TraceCollector::instance().setEnabled(true);
     if (!cli.flightrec_path.empty()) {
         support::flightrec::setDumpPath(cli.flightrec_path.c_str());
         support::flightrec::installCrashHandlers();
@@ -537,10 +540,21 @@ main(int argc, char **argv)
         return rc;
     }
 
+    // A local trace is the span buffer rendered for Chrome: every
+    // stage scope below this root (and each pool worker's "job" root)
+    // records one span.
+    std::optional<support::SpanScope> root;
+    if (!cli.trace_json.empty()) {
+        auto &spans = support::SpanCollector::instance();
+        spans.setService("treegionc");
+        spans.configure(1.0);
+        root.emplace("treegionc", support::SpanScope::Root::IfEnabled);
+    }
+
     std::string error;
     std::unique_ptr<ir::Module> mod;
     {
-        support::TraceScope span("parse", "driver");
+        support::SpanScope span("parse");
         mod = ir::parseModule(source, &error);
     }
     if (!mod) {
@@ -575,7 +589,7 @@ main(int argc, char **argv)
             return 1;
         }
         if (cli.do_profile) {
-            support::TraceScope span("profile", "driver");
+            support::SpanScope span("profile");
             span.arg("fn", fn->name());
             workloads::ProfileOptions profile;
             profile.input_seed = cli.profile_seed;
@@ -592,10 +606,16 @@ main(int argc, char **argv)
 
     auto finish = [&](int code) {
         if (!cli.trace_json.empty()) {
-            if (support::TraceCollector::instance()
-                    .writeChromeTraceFile(cli.trace_json)) {
-                std::fprintf(stderr, "trace written to %s\n",
-                             cli.trace_json.c_str());
+            root.reset();
+            auto &spans = support::SpanCollector::instance();
+            if (support::writeChromeTraceFile(cli.trace_json,
+                                              spans.snapshot())) {
+                std::fprintf(stderr,
+                             "trace written to %s (%llu spans dropped "
+                             "past the buffer cap)\n",
+                             cli.trace_json.c_str(),
+                             static_cast<unsigned long long>(
+                                 spans.dropped()));
             } else {
                 std::fprintf(stderr, "cannot write trace to %s\n",
                              cli.trace_json.c_str());

@@ -30,13 +30,12 @@
  *   --verify-hits 0|1      recompile every cache hit and assert
  *                          bit-identity (default: 1 in debug builds)
  *   --metrics-json FILE    write the /stats JSON here on drain
- *   --trace-json FILE      enable tracing; write one Chrome trace
- *                          per drain here
  *   --trace-spans FILE     enable distributed tracing; write the
  *                          span JSONL (treegion-span/v1) here on
  *                          drain — merge files from every replica
  *                          and client with `treegion-report
- *                          --trace-merge`
+ *                          --trace-merge` (add `--chrome FILE` for a
+ *                          Chrome trace)
  *   --trace-sample R       probability a locally rooted trace is
  *                          sampled, in [0,1] (default 1; requests
  *                          carrying trace-id headers keep their
@@ -156,8 +155,6 @@ main(int argc, char **argv)
             options.verify_hits = std::atoi(next()) != 0;
         } else if (arg == "--metrics-json") {
             options.metrics_path = next();
-        } else if (arg == "--trace-json") {
-            options.trace_path = next();
         } else if (arg == "--trace-spans") {
             options.span_path = next();
         } else if (arg == "--trace-sample") {
