@@ -1,13 +1,40 @@
 #include "analysis/liveness.h"
 
-#include <algorithm>
-
-#include "analysis/dominators.h"
 #include "support/logging.h"
 
 namespace treegion::analysis {
 
 using ir::BlockId;
+
+namespace {
+
+/** The blocks reachable from the entry of @p fn, in DFS postorder. */
+std::vector<BlockId>
+postorder(const ir::Function &fn)
+{
+    std::vector<BlockId> order;
+    std::vector<uint8_t> seen(fn.numBlockIds(), 0);  // marked when pushed
+    // Iterative DFS with an explicit stack of (block, next-succ-index).
+    std::vector<std::pair<BlockId, size_t>> stack{{fn.entry(), 0}};
+    seen[fn.entry()] = 1;
+    while (!stack.empty()) {
+        auto &[id, next] = stack.back();
+        const auto &succs = fn.block(id).successors();
+        if (next == succs.size()) {
+            order.push_back(id);
+            stack.pop_back();
+            continue;
+        }
+        const BlockId succ = succs[next++];
+        if (succ != ir::kNoBlock && !seen[succ]) {
+            seen[succ] = 1;
+            stack.emplace_back(succ, 0);
+        }
+    }
+    return order;
+}
+
+} // namespace
 
 Liveness::Liveness(ir::Function &fn)
     : num_gprs_(fn.numGprs()),
@@ -43,8 +70,7 @@ Liveness::Liveness(ir::Function &fn)
 
     // Visit order: postorder from the entry, then the blocks the entry
     // cannot reach, in id order.
-    std::vector<BlockId> order = reversePostorder(fn);
-    std::reverse(order.begin(), order.end());
+    std::vector<BlockId> order = postorder(fn);
     std::vector<uint8_t> reached(num_blocks_, 0);
     for (const BlockId id : order)
         reached[id] = 1;

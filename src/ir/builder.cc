@@ -13,14 +13,6 @@ Builder::movi(int64_t imm)
 }
 
 Reg
-Builder::mov(Reg src)
-{
-    const Reg dst = fn_.freshGpr();
-    fn_.appendOp(cur_, makeMov(dst, src));
-    return dst;
-}
-
-Reg
 Builder::binary(Opcode opcode, Operand a, Operand b)
 {
     const Reg dst = fn_.freshGpr();

@@ -41,9 +41,6 @@ class Builder
     /** Emit dst = imm and @return dst. */
     Reg movi(int64_t imm);
 
-    /** Emit dst = src and @return dst. */
-    Reg mov(Reg src);
-
     /** Emit a binary computation and @return its dest. */
     Reg binary(Opcode opcode, Operand a, Operand b);
 

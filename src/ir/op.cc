@@ -35,15 +35,6 @@ Op::renameUses(Reg from, Reg to)
         guard = to;
 }
 
-void
-Op::renameDefs(Reg from, Reg to)
-{
-    for (Reg &dst : dsts) {
-        if (dst == from)
-            dst = to;
-    }
-}
-
 std::string
 Op::str() const
 {

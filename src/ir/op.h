@@ -120,9 +120,6 @@ struct Op
     /** Replace every read of @p from (including guard) with @p to. */
     void renameUses(Reg from, Reg to);
 
-    /** Replace every definition of @p from with @p to. */
-    void renameDefs(Reg from, Reg to);
-
     /** Render in the textual IR syntax (no trailing newline). */
     std::string str() const;
 };

@@ -1,5 +1,6 @@
 #include "ir/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -97,6 +98,16 @@ class Parser
         return false;
     }
 
+    /** Fail on the block id token @p tok (bbN, N >= kMaxBlockIds). */
+    bool
+    failBlockId(std::string_view tok)
+    {
+        return failb(strprintf("block id %.*s is out of range (ids stop "
+                               "at bb%u)",
+                               static_cast<int>(tok.size()), tok.data(),
+                               kMaxBlockIds - 1));
+    }
+
     /** Fetch the next non-empty, non-comment line, trimmed. */
     bool
     nextLine(std::string_view &out)
@@ -137,14 +148,18 @@ class Parser
         uint32_t preds = 0;
         for (size_t i = 2; i + 1 < fields_.size(); ++i) {
             const std::string_view f = fields_[i];
-            if (startsWith(f, "entry=bb"))
-                entry = static_cast<BlockId>(toUnsigned(f.substr(8)));
-            else if (startsWith(f, "gprs="))
+            if (startsWith(f, "entry=bb")) {
+                const unsigned long long id = toUnsigned(f.substr(8));
+                if (id >= kMaxBlockIds)
+                    return failBlockId(f.substr(6));
+                entry = static_cast<BlockId>(id);
+            } else if (startsWith(f, "gprs=")) {
                 gprs = static_cast<uint32_t>(toUnsigned(f.substr(5)));
-            else if (startsWith(f, "preds="))
+            } else if (startsWith(f, "preds=")) {
                 preds = static_cast<uint32_t>(toUnsigned(f.substr(6)));
-            else
+            } else {
                 return failb("unknown func attribute: " + std::string(f));
+            }
         }
         fn.reserveRegs(gprs, preds, 0);
 
@@ -192,8 +207,10 @@ class Parser
         splitInto(header, ' ', fields_);
         if (fields_.size() < 3 || fields_.back() != "{")
             return failb("malformed block header");
-        const BlockId id =
-            static_cast<BlockId>(toUnsigned(fields_[1].substr(2)));
+        const unsigned long long raw = toUnsigned(fields_[1].substr(2));
+        if (raw >= kMaxBlockIds)
+            return failBlockId(fields_[1]);
+        const BlockId id = static_cast<BlockId>(raw);
         reserveBlocks(fn, id);
         if (id < defined.size() && defined[id])
             return failb(strprintf("block bb%u defined twice", id));
@@ -286,21 +303,27 @@ class Parser
         return value;
     }
 
+    /**
+     * Parse a branch target: "fallthru" or bbN. An N at or past
+     * kMaxBlockIds reads as kMaxBlockIds, for the caller to reject.
+     */
     static std::optional<BlockId>
     parseTarget(std::string_view tok)
     {
         if (tok == "fallthru")
             return kNoBlock;
         if (startsWith(tok, "bb")) {
-            uint32_t idx = 0;
+            uint64_t idx = 0;
             if (tok.size() < 3)
                 return std::nullopt;
             for (char c : tok.substr(2)) {
                 if (!std::isdigit(static_cast<unsigned char>(c)))
                     return std::nullopt;
-                idx = idx * 10 + static_cast<uint32_t>(c - '0');
+                idx = std::min<uint64_t>(
+                    idx * 10 + static_cast<uint64_t>(c - '0'),
+                    kMaxBlockIds);
             }
-            return idx;
+            return static_cast<BlockId>(idx);
         }
         return std::nullopt;
     }
@@ -433,6 +456,8 @@ class Parser
                 auto target = parseTarget(i < end ? toks[i] : "");
                 if (!target)
                     return failb("bad MWBR case target");
+                if (*target == kMaxBlockIds)
+                    return failBlockId(toks[i]);
                 ++i;
                 op.caseValues.push_back(*value);
                 op.targets.push_back(*target);
@@ -445,6 +470,8 @@ class Parser
             for (; i < end; ++i) {
                 const std::string_view tok = toks[i];
                 if (auto target = parseTarget(tok)) {
+                    if (*target == kMaxBlockIds)
+                        return failBlockId(tok);
                     op.targets.push_back(*target);
                     continue;
                 }

@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "support/logging.h"
 #include "support/string_utils.h"
 
 namespace treegion::ir {
@@ -298,17 +297,6 @@ std::vector<std::string>
 verifyFunction(Function &fn, VerifyLevel level)
 {
     return Verifier(fn, level).run();
-}
-
-void
-verifyOrDie(Function &fn, VerifyLevel level)
-{
-    auto problems = verifyFunction(fn, level);
-    if (!problems.empty()) {
-        TG_PANIC("IR verification failed for %s: %s (and %zu more)",
-                 fn.name().c_str(), problems.front().c_str(),
-                 problems.size() - 1);
-    }
 }
 
 } // namespace treegion::ir

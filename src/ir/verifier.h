@@ -33,9 +33,6 @@ enum class VerifyLevel {
  */
 std::vector<std::string> verifyFunction(Function &fn, VerifyLevel level);
 
-/** Verify and panic with the first problem if any. */
-void verifyOrDie(Function &fn, VerifyLevel level);
-
 } // namespace treegion::ir
 
 #endif // TREEGION_IR_VERIFIER_H

@@ -165,24 +165,6 @@ Region::saplings(ir::Function &fn) const
 }
 
 size_t
-Region::exitsInSubtree(ir::Function &fn, BlockId id) const
-{
-    size_t count = 0;
-    const ir::Op &term = fn.block(id).terminator();
-    if (term.opcode == ir::Opcode::RET) {
-        count += 1;
-    } else {
-        for (size_t slot = 0; slot < term.targets.size(); ++slot) {
-            if (!isInternalEdge(fn, id, slot))
-                ++count;
-        }
-    }
-    for (const BlockId child : childrenOf(id))
-        count += exitsInSubtree(fn, child);
-    return count;
-}
-
-size_t
 Region::totalOps(const ir::Function &fn) const
 {
     size_t n = 0;

@@ -115,9 +115,6 @@ class Region
      */
     std::vector<ir::BlockId> saplings(ir::Function &fn) const;
 
-    /** @return number of exits in the subtree rooted at @p id. */
-    size_t exitsInSubtree(ir::Function &fn, ir::BlockId id) const;
-
     /** Total op count over member blocks. */
     size_t totalOps(const ir::Function &fn) const;
 

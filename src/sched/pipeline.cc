@@ -322,58 +322,27 @@ std::vector<PipelineJobResult>
 runPipelineParallel(const std::vector<PipelineJob> &jobs,
                     size_t num_threads, support::ThreadPool *pool)
 {
-    std::vector<PipelineJobResult> results;
-    results.reserve(jobs.size());
-
-    if (!pool && num_threads == 1) {
-        // Inline path: no pool, same code, same results.
-        for (const PipelineJob &job : jobs) {
-            results.push_back(runOneJob(job));
-            results.back().job_index = results.size() - 1;
-        }
-        return results;
-    }
-
-    std::unique_ptr<support::ThreadPool> local_pool;
-    if (!pool)
-        local_pool = std::make_unique<support::ThreadPool>(num_threads);
-    support::ThreadPool &workers = pool ? *pool : *local_pool;
-
-    // Futures are collected in submission order, which pins the
-    // output order to the input order no matter which worker
-    // finishes first.
-    std::vector<std::future<PipelineJobResult>> futures;
-    futures.reserve(jobs.size());
-    for (const PipelineJob &job : jobs) {
-        futures.push_back(
-            workers.submit([&job] { return runOneJob(job); }));
-    }
-    for (auto &future : futures) {
-        results.push_back(future.get());
-        results.back().job_index = results.size() - 1;
-    }
-    return results;
+    ParallelRunOptions run;
+    run.num_threads = num_threads;
+    run.pool = pool;
+    return runPipelineParallel(jobs, run);
 }
 
 std::vector<PipelineJobResult>
 runPipelineParallel(const std::vector<PipelineJob> &jobs,
                     const ParallelRunOptions &run)
 {
-    if (!run.gate && run.mem_budget_bytes == 0 && !run.sink)
-        return runPipelineParallel(jobs, run.num_threads, run.pool);
+    // Without a budget the private gate is unlimited: it admits every
+    // job on the first scan, in input order.
+    support::MemoryGate local_gate(run.mem_budget_bytes);
+    support::MemoryGate *gate = run.gate ? run.gate : &local_gate;
+    const bool budgeted = run.gate || run.mem_budget_bytes > 0;
+    const bool run_inline = !run.pool && run.num_threads == 1;
 
-    std::unique_ptr<support::MemoryGate> local_gate;
-    support::MemoryGate *gate = run.gate;
-    if (!gate) {
-        local_gate = std::make_unique<support::MemoryGate>(
-            run.mem_budget_bytes);
-        gate = local_gate.get();
-    }
-
-    // Project every job's peak up front, then admit in ROMA order:
-    // largest projected peak first among the jobs that currently fit.
-    // Ties (and the whole scan) break by input index, so admission
-    // order is deterministic.
+    // A budgeted run projects every job's peak up front, then admits
+    // in ROMA order: largest projected peak first among the jobs that
+    // currently fit. Ties (and the whole scan) break by input index,
+    // so admission order is deterministic.
     struct Candidate
     {
         size_t index;
@@ -381,114 +350,102 @@ runPipelineParallel(const std::vector<PipelineJob> &jobs,
     };
     std::vector<Candidate> waiting;
     waiting.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i)
-        waiting.push_back({i, estimateJobPeakBytes(jobs[i])});
-    // An unlimited gate (budget 0, reached via sink-only runs) admits
-    // everything on the first scan; keep that submission plain FIFO.
-    if (gate->budgetBytes() > 0) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        waiting.push_back(
+            {i, budgeted ? estimateJobPeakBytes(jobs[i]) : 0});
+    }
+    // An unlimited gate admits everything on the first scan, and the
+    // inline path runs one job at a time, so the budget is trivially
+    // respected: both keep input order.
+    if (gate->budgetBytes() > 0 && !run_inline) {
         std::stable_sort(waiting.begin(), waiting.end(),
                          [](const Candidate &a, const Candidate &b) {
                              return a.projected > b.projected;
                          });
     }
 
-    if (!run.pool && run.num_threads == 1) {
-        // Inline path: one job at a time, so the budget is trivially
-        // respected and admission order is irrelevant to the peak;
-        // reservations still flow through the gate so its telemetry
-        // (high water) covers this path too.
-        std::vector<uint64_t> projected(jobs.size(), 0);
-        for (const Candidate &c : waiting)
-            projected[c.index] = c.projected;
-        std::vector<PipelineJobResult> results;
-        if (!run.sink)
-            results.reserve(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            while (!gate->tryAdmit(projected[i]))
-                gate->waitForRelease(gate->generation());
-            PipelineJobResult result = runOneJob(jobs[i]);
-            result.projected_peak_bytes = projected[i];
-            result.job_index = i;
-            if (run.sink)
-                run.sink(std::move(result));
-            else
-                results.push_back(std::move(result));
-            // Free the retained scheduling arena before handing the
-            // reservation back: what the gate re-admits against must
-            // actually be available.
-            if (gate->budgetBytes() > 0)
-                schedArenaTrim();
-            gate->release(projected[i]);
-        }
-        return results;
-    }
-
-    std::unique_ptr<support::ThreadPool> local_pool;
-    if (!run.pool) {
-        local_pool =
-            std::make_unique<support::ThreadPool>(run.num_threads);
-    }
-    support::ThreadPool &workers =
-        run.pool ? *run.pool : *local_pool;
-
-    // The coordinator (this thread) is the only one that ever waits
-    // on the gate; workers just run jobs and release, so admission
-    // cannot deadlock the pool. Workers either park their result in
-    // their job's slot (gathered in input order below) or, with a
-    // sink, hand it off as soon as it exists so its memory dies with
-    // the job.
+    // Run one admitted job. Its result is parked in the job's slot
+    // (gathered in input order below) or, with a sink, handed off as
+    // soon as it exists so its memory dies with the job.
     std::mutex sink_mutex;
     std::vector<std::optional<PipelineJobResult>> slots(jobs.size());
-    std::vector<std::future<void>> futures(jobs.size());
-    while (!waiting.empty()) {
-        const uint64_t gen = gate->generation();
-        bool admitted_any = false;
-        for (auto it = waiting.begin(); it != waiting.end();) {
-            if (!gate->tryAdmit(it->projected)) {
-                ++it;
-                continue;
+    auto runAdmitted = [&](size_t index, uint64_t projected) {
+        // Release on every exit path, including a throwing pipeline,
+        // or the coordinator would wait forever. Trim this thread's
+        // retained scheduling arena first: memory a worker keeps
+        // between jobs would otherwise accumulate outside the budget,
+        // and what the gate re-admits against must actually be
+        // available.
+        struct Release
+        {
+            support::MemoryGate *gate;
+            uint64_t bytes;
+            ~Release()
+            {
+                if (gate->budgetBytes() > 0)
+                    schedArenaTrim();
+                gate->release(bytes);
             }
-            admitted_any = true;
-            const size_t index = it->index;
-            const uint64_t projected = it->projected;
-            futures[index] = workers.submit([&jobs, &run, &slots,
-                                             &sink_mutex, gate, index,
-                                             projected] {
-                // Release on every exit path, including a throwing
-                // pipeline, or the coordinator would wait forever.
-                // Trim this worker's retained scheduling arena first:
-                // memory a worker keeps between jobs would otherwise
-                // accumulate outside the budget, and what the gate
-                // re-admits against must actually be available.
-                struct Release
-                {
-                    support::MemoryGate *gate;
-                    uint64_t bytes;
-                    ~Release()
-                    {
-                        if (gate->budgetBytes() > 0)
-                            schedArenaTrim();
-                        gate->release(bytes);
-                    }
-                } release{gate, projected};
-                PipelineJobResult result = runOneJob(jobs[index]);
-                result.projected_peak_bytes = projected;
-                result.job_index = index;
-                if (run.sink) {
-                    std::lock_guard<std::mutex> lock(sink_mutex);
-                    run.sink(std::move(result));
-                } else {
-                    slots[index].emplace(std::move(result));
-                }
-            });
-            it = waiting.erase(it);
+        } release{gate, projected};
+        PipelineJobResult result = runOneJob(jobs[index]);
+        result.projected_peak_bytes = projected;
+        result.job_index = index;
+        if (run.sink) {
+            std::lock_guard<std::mutex> lock(sink_mutex);
+            run.sink(std::move(result));
+        } else {
+            slots[index].emplace(std::move(result));
         }
-        if (!waiting.empty() && !admitted_any)
-            gate->waitForRelease(gen);
+    };
+
+    if (run_inline) {
+        // No pool: reservations still flow through the gate so its
+        // telemetry (high water) covers this path too.
+        for (const Candidate &c : waiting) {
+            while (!gate->tryAdmit(c.projected))
+                gate->waitForRelease(gate->generation());
+            runAdmitted(c.index, c.projected);
+        }
+    } else {
+        std::unique_ptr<support::ThreadPool> local_pool;
+        if (!run.pool) {
+            local_pool =
+                std::make_unique<support::ThreadPool>(run.num_threads);
+        }
+        support::ThreadPool &workers =
+            run.pool ? *run.pool : *local_pool;
+
+        // The coordinator (this thread) is the only one that ever
+        // waits on the gate; workers just run jobs and release, so
+        // admission cannot deadlock the pool.
+        std::vector<std::future<void>> futures(jobs.size());
+        while (!waiting.empty()) {
+            const uint64_t gen = gate->generation();
+            bool admitted_any = false;
+            for (auto it = waiting.begin(); it != waiting.end();) {
+                if (!gate->tryAdmit(it->projected)) {
+                    ++it;
+                    continue;
+                }
+                admitted_any = true;
+                futures[it->index] = workers.submit(
+                    [&runAdmitted, c = *it] {
+                        runAdmitted(c.index, c.projected);
+                    });
+                it = waiting.erase(it);
+            }
+            if (!waiting.empty() && !admitted_any)
+                gate->waitForRelease(gen);
+        }
+
+        // Let every job finish before any get() can rethrow: the
+        // tasks still write into slots and the sink's mutex.
+        for (auto &future : futures)
+            future.wait();
+        for (auto &future : futures)
+            future.get();
     }
 
-    for (auto &future : futures)
-        future.get();
     std::vector<PipelineJobResult> results;
     if (!run.sink) {
         results.reserve(jobs.size());

@@ -190,14 +190,15 @@ struct PipelineJobResult
  *
  * With num_threads == 1 the jobs run inline on the calling thread
  * (no pool is created). Pass @p pool to reuse an existing pool
- * (num_threads is then ignored).
+ * (num_threads is then ignored). This is the ParallelRunOptions
+ * overload with only num_threads and pool set.
  */
 std::vector<PipelineJobResult>
 runPipelineParallel(const std::vector<PipelineJob> &jobs,
                     size_t num_threads = 0,
                     support::ThreadPool *pool = nullptr);
 
-/** Configuration for a budgeted runPipelineParallel run. */
+/** Configuration for a runPipelineParallel run. */
 struct ParallelRunOptions
 {
     /** Worker count; 0 = one per hardware thread. */
@@ -205,8 +206,9 @@ struct ParallelRunOptions
     /** Reuse an existing pool (num_threads is then ignored). */
     support::ThreadPool *pool = nullptr;
     /**
-     * Peak-memory budget in bytes; 0 = unbudgeted FIFO (identical to
-     * the plain overload). When set, jobs are admitted through a
+     * Peak-memory budget in bytes; 0 = unbudgeted FIFO: no job is
+     * projected and every job is submitted in input order. When
+     * set, jobs are admitted through a
      * support::MemoryGate: a job is submitted to the pool only once
      * its projected peak (sched/mem_estimate.h) fits under what
      * remains of the budget, largest-projected-first among the jobs
@@ -236,9 +238,10 @@ struct ParallelRunOptions
 };
 
 /**
- * runPipelineParallel with memory-budgeted admission. Results are
- * still returned in input order and are bit-identical to the
- * unbudgeted path — the budget only changes when each job starts.
+ * runPipelineParallel with optional memory-budgeted admission and a
+ * streaming sink. Results are still returned in input order and are
+ * bit-identical to the unbudgeted path — the budget only changes
+ * when each job starts.
  */
 std::vector<PipelineJobResult>
 runPipelineParallel(const std::vector<PipelineJob> &jobs,

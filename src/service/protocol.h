@@ -14,11 +14,12 @@
  * Unknown header keys are ignored, so old clients keep working
  * against newer servers.
  *
- * For zero-dependency observability the server also answers plain
- * HTTP: a connection whose first bytes are "GET " is served one
- * HTTP/1.0 response (the /stats JSON) and closed, so
+ * For zero-dependency observability the server's event loop also
+ * answers plain HTTP: a connection whose first bytes are "GET " is
+ * served one HTTP/1.0 response (the /stats JSON) and closed, so
  * `curl --unix-socket <sock> http://x/stats` works against the same
- * listener the binary protocol uses.
+ * listener the binary protocol uses. Frame readers here never see
+ * HTTP; this module owns only the framing below.
  */
 
 #ifndef TREEGION_SERVICE_PROTOCOL_H
@@ -26,36 +27,47 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace treegion::service {
 
 /** Frame payloads above this are rejected by default (4 MiB). */
 inline constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
 
+/** Bytes in a frame's length prefix. */
+inline constexpr size_t kFramePrefixBytes = 4;
+
+/** Most bytes of an oversized frame a reader drains (64 MiB), so its
+ * rejection is not RST away from a peer that is still writing. */
+inline constexpr size_t kMaxFrameDrainBytes = 64u << 20;
+
+/** Append @p payload to @p out as one frame. */
+void appendFrame(std::string *out, std::string_view payload);
+
+/**
+ * Decode the length prefix at the front of @p bytes into @p len.
+ * @return false when fewer than kFramePrefixBytes bytes are there.
+ */
+bool peekFrameLength(std::string_view bytes, size_t *len);
+
 /** Outcome of reading one frame off a connection. */
 enum class FrameStatus {
     Ok,        ///< payload filled in
     Closed,    ///< clean EOF before any frame byte
     TooLarge,  ///< length prefix exceeds the frame limit
-    Http,      ///< connection opened with an HTTP GET instead
     Error,     ///< I/O error or truncated frame
 };
 
 /**
  * Read one length-prefixed frame from @p fd into @p payload.
- * Detects HTTP: when the first four bytes are "GET ", the request
- * line and headers are consumed (up to a sane bound) and
- * @p http_target receives the request target (e.g. "/stats").
  *
  * @param fd connected stream socket
  * @param payload receives the frame payload on Ok
  * @param max_bytes frame size limit
  * @param error human-readable detail on TooLarge/Error
- * @param http_target HTTP request target on Http (may be null)
  */
 FrameStatus readFrame(int fd, std::string *payload, size_t max_bytes,
-                      std::string *error,
-                      std::string *http_target = nullptr);
+                      std::string *error);
 
 /** Write @p payload as one frame. @return false on I/O error. */
 bool writeFrame(int fd, const std::string &payload,

@@ -40,9 +40,6 @@ constexpr uint64_t kTcpTag = 2;
 constexpr uint64_t kStopTag = 3;
 constexpr uint64_t kWakeTag = 4;
 
-/** Most an oversized frame is drained before giving up (64 MiB). */
-constexpr size_t kMaxDrainBytes = 64u << 20;
-
 int64_t
 nowMs()
 {
@@ -159,7 +156,8 @@ Server::Server(ServerOptions options)
       span_service_(options_.self_address.empty()
                         ? "treegiond"
                         : options_.self_address),
-      cache_(options_.cache_bytes)
+      cache_(options_.cache_bytes),
+      mem_gate_(options_.mem_budget_bytes)
 {
 }
 
@@ -632,14 +630,9 @@ Server::consumeBuffer(Conn &conn)
             return;
         }
 
-        if (conn.in.size() < 4)
+        size_t len = 0;
+        if (!peekFrameLength(conn.in, &len))
             return;
-        const auto *p =
-            reinterpret_cast<const unsigned char *>(conn.in.data());
-        const size_t len = (static_cast<size_t>(p[0]) << 24) |
-                           (static_cast<size_t>(p[1]) << 16) |
-                           (static_cast<size_t>(p[2]) << 8) |
-                           static_cast<size_t>(p[3]);
         if (len > options_.max_frame_bytes) {
             // The stream can't be resynchronized after an oversized
             // length prefix: answer once, discard the frame's bytes
@@ -653,9 +646,9 @@ Server::consumeBuffer(Conn &conn)
                                    "%zu-byte limit",
                                    len, options_.max_frame_bytes));
             metrics_.add(statusCounterName(resp.status));
-            const size_t cap = std::min(len, kMaxDrainBytes);
+            const size_t cap = std::min(len, kMaxFrameDrainBytes);
             const size_t have =
-                std::min(cap, conn.in.size() - 4);
+                std::min(cap, conn.in.size() - kFramePrefixBytes);
             conn.in.clear();
             conn.drain_left = cap - have;
             queueResponse(conn, conn.next_seq++, resp);
@@ -663,10 +656,10 @@ Server::consumeBuffer(Conn &conn)
                 conn.want_close = true;
             return;
         }
-        if (conn.in.size() < 4 + len)
+        if (conn.in.size() < kFramePrefixBytes + len)
             return;
-        std::string payload = conn.in.substr(4, len);
-        conn.in.erase(0, 4 + len);
+        std::string payload = conn.in.substr(kFramePrefixBytes, len);
+        conn.in.erase(0, kFramePrefixBytes + len);
         // Batching: every complete frame in the buffer dispatches in
         // this same pass, so a pipelining client's requests hit the
         // pool together.
@@ -770,7 +763,7 @@ Server::dispatchCompile(Conn &conn, uint64_t seq, Request req)
     // stays under the budget. Parked compiles re-enter largest-first
     // as finishing compiles release their reservations.
     const uint64_t projected = projectedPeakBytes(req);
-    if (projected > 0 && !memFits(projected)) {
+    if (projected > 0 && !mem_gate_.tryAdmit(projected)) {
         if (mem_parked_.size() >= options_.queue_limit) {
             metrics_.add("mem_rejected");
             Response resp = makeError(
@@ -828,25 +821,17 @@ Server::projectedPeakBytes(const Request &req) const
 }
 
 bool
-Server::memFits(uint64_t projected) const
-{
-    // Mirrors support::MemoryGate's progress rule: with nothing
-    // reserved, any request fits — an oversized compile runs solo
-    // rather than being starved forever.
-    return mem_projected_inflight_ == 0 ||
-           mem_projected_inflight_ + projected <=
-               options_.mem_budget_bytes;
-}
-
-bool
 Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
                       uint64_t projected, Request &&req, bool counted,
                       int64_t park_start_us, int64_t park_end_us)
 {
     size_t admitted = admitted_.load();
     do {
-        if (admitted >= options_.queue_limit)
+        if (admitted >= options_.queue_limit) {
+            if (projected > 0)
+                mem_gate_.release(projected);
             return false;
+        }
     } while (
         !admitted_.compare_exchange_weak(admitted, admitted + 1));
 
@@ -854,10 +839,8 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
         ++conn.inflight;
         jobs_inflight_.fetch_add(1);
     }
-    if (projected > 0) {
-        mem_projected_inflight_ += projected;
-        metrics_.set("mem_projected_bytes", mem_projected_inflight_);
-    }
+    if (projected > 0)
+        metrics_.set("mem_projected_bytes", mem_gate_.inUseBytes());
     const uint64_t conn_id = conn.id;
     pool_->submit([this, conn_id, seq, enqueue_ms, projected,
                    park_start_us, park_end_us,
@@ -966,7 +949,7 @@ Server::admitParked()
             mem_parked_.erase(mem_parked_.begin() + i);
             continue;
         }
-        if (memFits(parked.projected) &&
+        if (mem_gate_.tryAdmit(parked.projected) &&
             submitCompile(*it->second, parked.seq, parked.enqueue_ms,
                           parked.projected, std::move(parked.req),
                           /*counted=*/true, parked.park_start_us,
@@ -990,10 +973,9 @@ Server::drainCompletions()
         if (done.projected > 0) {
             // Release the memory reservation even when the peer
             // vanished — the compile ran and its footprint is gone.
-            TG_ASSERT(mem_projected_inflight_ >= done.projected);
-            mem_projected_inflight_ -= done.projected;
+            mem_gate_.release(done.projected);
             metrics_.set("mem_projected_bytes",
-                         mem_projected_inflight_);
+                         mem_gate_.inUseBytes());
         }
         auto it = conns_.find(done.conn_id);
         if (it == conns_.end())
@@ -1031,18 +1013,8 @@ Server::queueRaw(Conn &conn, uint64_t seq, std::string encoded)
     conn.done.emplace(seq, std::move(encoded));
     for (auto it = conn.done.begin();
          it != conn.done.end() && it->first == conn.sent_seq;
-         it = conn.done.erase(it), ++conn.sent_seq) {
-        const std::string &payload = it->second;
-        const size_t len = payload.size();
-        const char prefix[4] = {
-            static_cast<char>(len >> 24),
-            static_cast<char>(len >> 16),
-            static_cast<char>(len >> 8),
-            static_cast<char>(len),
-        };
-        conn.out.append(prefix, 4);
-        conn.out.append(payload);
-    }
+         it = conn.done.erase(it), ++conn.sent_seq)
+        appendFrame(&conn.out, it->second);
 }
 
 void
@@ -1358,14 +1330,14 @@ Server::statsJson() const
               static_cast<unsigned long long>(
                   options_.mem_budget_bytes),
               static_cast<unsigned long long>(
-                  mem_projected_inflight_),
+                  mem_gate_.inUseBytes()),
               mem_parked_.size(),
               stopping_.load() ? "true" : "false")
        << "}";
     return os.str();
 }
 
-void
+bool
 Server::waitUntilStopped()
 {
     // Block until a drain was requested (SIGTERM or requestStop()),
@@ -1375,7 +1347,7 @@ Server::waitUntilStopped()
     while (!stopping_.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     if (joined_.exchange(true))
-        return;
+        return true;
     hard_stop_.store(true);
     {
         const char byte = 'w';
@@ -1386,7 +1358,7 @@ Server::waitUntilStopped()
         loop_thread_.join();
 
     pool_.reset();  // finishes anything still queued
-    flushTelemetry();
+    const bool flushed = flushTelemetry();
 
     for (int *pipe_fds : {stop_pipe_, wake_pipe_}) {
         for (int i = 0; i < 2; ++i) {
@@ -1399,11 +1371,13 @@ Server::waitUntilStopped()
         ::close(epoll_fd_);
     epoll_fd_ = -1;
     started_.store(false);
+    return flushed;
 }
 
-void
+bool
 Server::flushTelemetry()
 {
+    bool written = true;
     if (!options_.metrics_path.empty()) {
         if (FILE *f = std::fopen(options_.metrics_path.c_str(), "w")) {
             const std::string json = statsJson();
@@ -1411,19 +1385,24 @@ Server::flushTelemetry()
             std::fputc('\n', f);
             std::fclose(f);
         } else {
-            TG_INFO("cannot write metrics to %s\n",
-                    options_.metrics_path.c_str());
+            std::fprintf(stderr, "treegiond: cannot write metrics to %s\n",
+                         options_.metrics_path.c_str());
+            written = false;
         }
     }
     if (!options_.span_path.empty()) {
         auto &spans = support::SpanCollector::instance();
         if (spans.dropped() > 0)
-            TG_INFO("span buffer overflowed: %llu spans dropped\n",
-                    static_cast<unsigned long long>(
-                        spans.dropped()));
-        if (!spans.writeJsonl(options_.span_path))
-            TG_INFO("cannot write spans to %s\n",
-                    options_.span_path.c_str());
+            std::fprintf(stderr,
+                         "treegiond: span buffer overflowed: %llu spans "
+                         "dropped\n",
+                         static_cast<unsigned long long>(
+                             spans.dropped()));
+        if (!spans.writeJsonl(options_.span_path)) {
+            std::fprintf(stderr, "treegiond: cannot write spans to %s\n",
+                         options_.span_path.c_str());
+            written = false;
+        }
     }
     if (!options_.flightrec_path.empty()) {
         // The same artifact a crash would leave: on a clean drain
@@ -1431,6 +1410,7 @@ Server::flushTelemetry()
         // fatal signal that beat us here already wrote it).
         support::flightrec::dumpConfigured();
     }
+    return written;
 }
 
 } // namespace treegion::service

@@ -168,9 +168,10 @@ struct ServerOptions
      * dispatch. Requests whose projection does not fit next to the
      * in-flight total are parked (largest-fitting-first re-admission
      * as compiles finish) rather than dispatched; parked requests
-     * beyond queue_limit are rejected with a retry hint. A request
-     * projected over the entire budget runs solo instead of being
-     * rejected, mirroring support::MemoryGate's progress rule.
+     * beyond queue_limit are rejected with a retry hint. Admission
+     * goes through a support::MemoryGate, so its progress rule
+     * holds: a request projected over the entire budget runs solo
+     * instead of being rejected.
      */
     uint64_t mem_budget_bytes = 0;
 };
@@ -199,8 +200,13 @@ class Server
      */
     void requestStop();
 
-    /** Block until the drain completes and every thread is joined. */
-    void waitUntilStopped();
+    /**
+     * Block until the drain completes and every thread is joined.
+     * @return false when the drain could not write a configured
+     * telemetry file (metrics JSON or span JSONL); a call after the
+     * first drains nothing and returns true.
+     */
+    bool waitUntilStopped();
 
     /** @return the TCP port actually bound (after start). */
     int tcpPort() const { return tcp_port_; }
@@ -222,10 +228,14 @@ class Server
      * recorder) to the configured paths right now. Runs on the
      * clean-drain path; also the daemon's TG_PANIC hook, so a
      * panic on any thread leaves the same evidence a drain would.
-     * NOT async-signal-safe — fatal-signal handlers get only the
-     * flight recorder's write()-based dump.
+     * Every file it cannot write, and any spans dropped past the
+     * buffer cap, is reported on stderr. NOT async-signal-safe —
+     * fatal-signal handlers get only the flight recorder's
+     * write()-based dump.
+     * @return false when the metrics JSON or the span JSONL could
+     * not be written.
      */
-    void flushTelemetry();
+    bool flushTelemetry();
 
   private:
     /** One nonblocking connection's state machine. */
@@ -293,12 +303,11 @@ class Server
     void dispatchCompile(Conn &conn, uint64_t seq, Request req);
     /** Projected peak compile footprint of @p req; 0 = no budget. */
     uint64_t projectedPeakBytes(const Request &req) const;
-    /** True when @p projected fits next to the in-flight total. */
-    bool memFits(uint64_t projected) const;
     /**
-     * Reserve a queue slot (and @p projected memory bytes) and hand
-     * the compile to the pool. @return false untouched when the
-     * queue is full. @p counted: the request already holds its
+     * Reserve a queue slot and hand the compile, with the
+     * @p projected bytes already reserved in mem_gate_, to the pool.
+     * @return false when the queue is full, after returning those
+     * bytes to the gate. @p counted: the request already holds its
      * conn.inflight / jobs_inflight_ counts (parked re-admission).
      * @p park_start_us/@p park_end_us: the memory-gate park window
      * (epochUs) a re-admitted request waited through, 0/0 when it
@@ -378,13 +387,10 @@ class Server
     std::mutex completions_mutex_;
     std::vector<Completion> completions_;
 
-    /**
-     * Memory-admission state, loop-thread only (dispatch and
-     * completion delivery both run on the event loop, so no lock):
-     * the aggregate projected peak of every dispatched compile, and
-     * the compiles parked until a release makes room.
-     */
-    uint64_t mem_projected_inflight_ = 0;
+    /** Memory admission, loop thread only: the gate holds the
+     * projected peak of every dispatched compile; parked compiles
+     * wait there for a release to make room. */
+    support::MemoryGate mem_gate_;
     std::vector<ParkedCompile> mem_parked_;
 
     uint64_t next_conn_id_ = 16;  ///< ids below are listeners/pipes

@@ -183,12 +183,6 @@ noteCount()
     return g_notes.load(std::memory_order_relaxed);
 }
 
-uint64_t
-lostThreadNotes()
-{
-    return g_lost.load(std::memory_order_relaxed);
-}
-
 void
 setDumpPath(const char *path)
 {

@@ -47,10 +47,6 @@ void note(const char *tag, const char *detail = nullptr,
 /** Total events ever noted (including overwritten ones). */
 uint64_t noteCount();
 
-/** Events that fell on the floor because more than kMaxThreads
- * threads noted. */
-uint64_t lostThreadNotes();
-
 /**
  * Set the file the crash/drain dumps write to (path copied into a
  * static buffer; empty or overlong paths reset to stderr). Safe to

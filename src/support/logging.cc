@@ -1,13 +1,13 @@
 #include "support/logging.h"
 
 #include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace treegion::support {
 
 namespace {
-LogLevel g_level = LogLevel::Quiet;
 std::atomic<PanicHook> g_panic_hook{nullptr};
 } // namespace
 
@@ -15,30 +15,6 @@ PanicHook
 setPanicHook(PanicHook hook)
 {
     return g_panic_hook.exchange(hook, std::memory_order_acq_rel);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-logPrintf(LogLevel level, const char *fmt, ...)
-{
-    if (static_cast<int>(level) > static_cast<int>(g_level))
-        return;
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fputc('\n', stderr);
 }
 
 void
@@ -57,18 +33,6 @@ panicImpl(const char *file, int line, const char *fmt, ...)
             g_panic_hook.exchange(nullptr, std::memory_order_acq_rel))
         hook();
     std::abort();
-}
-
-void
-fatalImpl(const char *file, int line, const char *fmt, ...)
-{
-    std::fprintf(stderr, "fatal: %s:%d: ", file, line);
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fputc('\n', stderr);
-    std::exit(1);
 }
 
 } // namespace treegion::support

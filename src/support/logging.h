@@ -1,43 +1,18 @@
 /**
  * @file
- * Fatal/panic error reporting and lightweight logging.
+ * Internal-invariant reporting: TG_PANIC and TG_ASSERT.
  *
- * Follows the gem5 convention: panic() is for internal invariant
- * violations (library bugs), fatal() is for user errors (bad input,
- * bad configuration). Both print a message with source location and
- * terminate; panic() aborts (core dump friendly), fatal() exits(1).
+ * Follows the gem5 convention for panic(): it is for internal
+ * invariant violations (library bugs). It prints a message with the
+ * source location, runs the installed panic hook, and aborts (core
+ * dump friendly). Errors in the input are not panics: the parser and
+ * the verifiers report them, and the tools print them and exit 1.
  */
 
 #ifndef TREEGION_SUPPORT_LOGGING_H
 #define TREEGION_SUPPORT_LOGGING_H
 
-#include <cstdarg>
-#include <string>
-
 namespace treegion::support {
-
-/** Verbosity levels for the global logger. */
-enum class LogLevel {
-    Quiet = 0,   ///< Only fatal/panic output.
-    Info = 1,    ///< High-level progress messages.
-    Debug = 2,   ///< Per-region detail.
-    Trace = 3,   ///< Per-op detail; very verbose.
-};
-
-/** Set the global log verbosity. Thread-unsafe by design (set once). */
-void setLogLevel(LogLevel level);
-
-/** @return the current global log verbosity. */
-LogLevel logLevel();
-
-/**
- * Print a printf-style message to stderr when @p level is enabled.
- *
- * @param level level the message belongs to
- * @param fmt printf format string
- */
-void logPrintf(LogLevel level, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 /**
  * Install a hook that panicImpl runs after printing the panic
@@ -53,19 +28,11 @@ PanicHook setPanicHook(PanicHook hook);
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 
-/** Internal: report and exit(1). Use the fatal() macro instead. */
-[[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
-                            ...) __attribute__((format(printf, 3, 4)));
-
 } // namespace treegion::support
 
 /** Report an internal library bug and abort. */
 #define TG_PANIC(...)                                                       \
     ::treegion::support::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
-
-/** Report an unrecoverable user error and exit. */
-#define TG_FATAL(...)                                                       \
-    ::treegion::support::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 
 /** Assert an internal invariant; panics with the condition text. */
 #define TG_ASSERT(cond, ...)                                                \
@@ -75,15 +42,5 @@ PanicHook setPanicHook(PanicHook hook);
                                            "assertion failed: %s", #cond); \
         }                                                                   \
     } while (0)
-
-/** Log at Info level. */
-#define TG_INFO(...)                                                        \
-    ::treegion::support::logPrintf(::treegion::support::LogLevel::Info,    \
-                                   __VA_ARGS__)
-
-/** Log at Debug level. */
-#define TG_DEBUG(...)                                                       \
-    ::treegion::support::logPrintf(::treegion::support::LogLevel::Debug,   \
-                                   __VA_ARGS__)
 
 #endif // TREEGION_SUPPORT_LOGGING_H

@@ -52,13 +52,6 @@ memstatActive() noexcept
 }
 
 uint64_t
-memstatLiveBytes() noexcept
-{
-    const int64_t live = g_live.load(std::memory_order_relaxed);
-    return live > 0 ? static_cast<uint64_t>(live) : 0;
-}
-
-uint64_t
 memstatWindowPeakBytes() noexcept
 {
     const int64_t peak = g_window_peak.load(std::memory_order_relaxed);

@@ -34,9 +34,6 @@ void memstatOnFree(std::size_t bytes) noexcept;
 /** True once any interposer hook has fired in this process. */
 bool memstatActive() noexcept;
 
-/** Current live heap bytes (allocated minus freed since start). */
-uint64_t memstatLiveBytes() noexcept;
-
 /** Largest live-byte count observed since the last window reset. */
 uint64_t memstatWindowPeakBytes() noexcept;
 

@@ -194,10 +194,4 @@ Rng::nextWeighted(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next());
-}
-
 } // namespace treegion::support

@@ -56,9 +56,6 @@ class Rng
      */
     size_t nextWeighted(const std::vector<double> &weights);
 
-    /** Derive an independent child stream (for nested generators). */
-    Rng fork();
-
   private:
     uint64_t s_[4];
 };

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/profile.h"
 #include "ir/verifier.h"
+#include "profile_oracle.h"
 #include "sched/pipeline.h"
 #include "vliw/equivalence.h"
 #include "workloads/profiler.h"
@@ -48,7 +48,7 @@ TEST(Integration, ProfileIsFlowConserving)
     ir::Function &fn = mod->function("main");
     const auto summary = workloads::profileFunction(fn, 1024);
     EXPECT_EQ(summary.completed_runs, 20);
-    const auto problems = analysis::checkProfileConsistency(fn);
+    const auto problems = tg_test::checkProfileConsistency(fn);
     for (const auto &p : problems)
         ADD_FAILURE() << p;
 }

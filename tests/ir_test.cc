@@ -92,8 +92,6 @@ TEST(Op, RenameUsesAndDefs)
     op.renameUses(gpr(1), gpr(9));
     EXPECT_EQ(op.srcs[0].reg, gpr(9));
     EXPECT_EQ(op.srcs[1].reg, gpr(9));
-    op.renameDefs(gpr(5), gpr(7));
-    EXPECT_EQ(op.dsts[0], gpr(7));
 }
 
 TEST(Op, StrFormats)

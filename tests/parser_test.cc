@@ -151,6 +151,55 @@ func @main entry=bb0 gprs=1 preds=0 {
     EXPECT_NE(error.find("undefined block"), std::string::npos);
 }
 
+// Block ids index dense tables, so every id in the text must be
+// below kMaxBlockIds; past it is a parse error naming the line,
+// raised before any block is created for it.
+TEST(Parser, RejectsBlockIdsPastTheLimit)
+{
+    auto parse = [](const std::string &entry, const std::string &header,
+                    const std::string &term, std::string &error) {
+        return parseModule("module m mem=64\n"
+                           "func @main entry=" + entry +
+                               " gprs=1 preds=0 {\n"
+                               "  block " + header + " weight=0 {\n"
+                               "    " + term + "\n  }\n}\n",
+                           &error);
+    };
+    const std::string last = "bb" + std::to_string(kMaxBlockIds - 1);
+    const std::string past = "bb" + std::to_string(kMaxBlockIds);
+    const std::string huge = "bb99999999999999999999";
+    struct Case
+    {
+        std::string entry, header, term, bad;
+        int line;
+    };
+    const Case cases[] = {
+        {"bb0", "bb0", "BRU bb3000000", "bb3000000", 4},
+        {"bb0", "bb0", "BRU " + past, past, 4},
+        {"bb0", "bb0", "BRU " + huge, huge, 4},
+        {"bb0", "bb0", "MWBR r0 [0:bb0 1:bb4294967296]", "bb4294967296",
+         4},
+        {"bb4294967295", "bb4294967295", "RET 0", "bb4294967295", 2},
+        {"bb0", "bb4294967295", "RET 0", "bb4294967295", 3},
+        {"bb0", past, "RET 0", past, 3},
+    };
+    for (const Case &c : cases) {
+        std::string error;
+        EXPECT_EQ(parse(c.entry, c.header, c.term, error), nullptr)
+            << c.term;
+        EXPECT_NE(error.find("line " + std::to_string(c.line) +
+                             ": block id " + c.bad + " is out of range"),
+                  std::string::npos)
+            << error;
+    }
+
+    // The largest id below the limit still parses.
+    std::string error;
+    auto mod = parse(last, last, "RET 0", error);
+    ASSERT_NE(mod, nullptr) << error;
+    EXPECT_EQ(mod->function("main").entry(), kMaxBlockIds - 1);
+}
+
 TEST(Parser, NegativeImmediates)
 {
     const char *text = R"(

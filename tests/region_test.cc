@@ -128,12 +128,6 @@ TEST(TreegionFormation, PaperExampleTopmostTreegion)
     EXPECT_EQ(exits.size(), 3u);
     const auto saplings = tree.saplings(g.fn);
     EXPECT_EQ(saplings.size(), 2u);
-
-    // Exit counts per the heuristic definition.
-    EXPECT_EQ(tree.exitsInSubtree(g.fn, g.bb1), 3u);
-    EXPECT_EQ(tree.exitsInSubtree(g.fn, g.bb2), 2u);
-    EXPECT_EQ(tree.exitsInSubtree(g.fn, g.bb3), 1u);
-    EXPECT_EQ(tree.exitsInSubtree(g.fn, g.bb8), 1u);
 }
 
 TEST(TreegionFormation, LoopHeaderRootsItsRegion)

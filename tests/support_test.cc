@@ -93,13 +93,6 @@ TEST(Rng, WeightedRespectsZeroWeights)
     }
 }
 
-TEST(Rng, ForkIndependent)
-{
-    Rng a(5);
-    Rng child = a.fork();
-    EXPECT_NE(a.next(), child.next());
-}
-
 TEST(BitVector, SetTestReset)
 {
     BitVector bv(130);

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/profile.h"
 #include "ir/builder.h"
+#include "profile_oracle.h"
 #include "region/formation.h"
 #include "region/tail_duplication.h"
 #include "vliw/interpreter.h"
@@ -84,7 +84,7 @@ TEST(TailDuplicateEdge, SplitsProfileFlow)
     EXPECT_EQ(g.fn.block(g.b).successors()[0], clone);
     EXPECT_EQ(g.fn.block(g.c).successors()[0], g.tail);
     EXPECT_FALSE(g.fn.isMergePoint(g.tail));
-    EXPECT_TRUE(analysis::checkProfileConsistency(g.fn).empty());
+    EXPECT_TRUE(tg_test::checkProfileConsistency(g.fn).empty());
 }
 
 TEST(TailDuplicateEdge, PreservesSemantics)
@@ -246,7 +246,7 @@ TEST(TailDup, SemanticsPreservedOnGeneratedPrograms)
             else
                 formSuperblocks(f, {});
             EXPECT_TRUE(
-                analysis::checkProfileConsistency(f, 1e-6).empty())
+                tg_test::checkProfileConsistency(f, 1e-6).empty())
                 << "seed " << seed << " variant " << variant;
             for (uint64_t input = 0; input < 3; ++input) {
                 auto mem = workloads::makeInputMemory(1024,

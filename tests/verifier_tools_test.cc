@@ -1,16 +1,13 @@
 /**
  * @file
- * Tests for the schedule legality verifier, the Graphviz exporter,
- * and a brute-force cross-check of the dominator tree on generated
- * CFGs.
+ * Tests for the schedule legality verifier and the Graphviz
+ * exporter.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <unordered_set>
 
-#include "analysis/dominators.h"
 #include "region/formation.h"
 #include "region/graphviz.h"
 #include "sched/pipeline.h"
@@ -113,53 +110,6 @@ TEST(Graphviz, EmitsClustersAndEdges)
         pos += 1;
     }
     EXPECT_EQ(clusters, set.regions().size());
-}
-
-/** O(n^2) reference dominator computation by path enumeration. */
-bool
-dominatesBruteForce(ir::Function &fn, ir::BlockId a, ir::BlockId b)
-{
-    // a dominates b iff removing a makes b unreachable from entry.
-    if (a == b)
-        return true;
-    std::unordered_set<ir::BlockId> seen = {a};
-    std::vector<ir::BlockId> stack = {fn.entry()};
-    while (!stack.empty()) {
-        const ir::BlockId id = stack.back();
-        stack.pop_back();
-        if (!seen.insert(id).second)
-            continue;
-        if (id == b)
-            return false;
-        for (const ir::BlockId succ : fn.block(id).successors()) {
-            if (succ != ir::kNoBlock)
-                stack.push_back(succ);
-        }
-    }
-    return true;
-}
-
-TEST(Dominators, MatchesBruteForceOnGeneratedCfgs)
-{
-    for (uint64_t seed : {2u, 6u, 18u}) {
-        workloads::GenParams p;
-        p.seed = seed;
-        p.top_units = 5;
-        p.mem_words = 1024;
-        auto mod = workloads::generateProgram("x", p);
-        ir::Function &fn = mod->function("main");
-        analysis::DominatorTree dom(fn);
-        const auto ids = fn.blockIds();
-        // Sample pairs (full n^2 would be slow on big graphs).
-        for (size_t i = 0; i < ids.size(); i += 3) {
-            for (size_t j = 0; j < ids.size(); j += 2) {
-                EXPECT_EQ(dom.dominates(ids[i], ids[j]),
-                          dominatesBruteForce(fn, ids[i], ids[j]))
-                    << "seed " << seed << ": bb" << ids[i] << " vs bb"
-                    << ids[j];
-            }
-        }
-    }
 }
 
 TEST(Regression, TransitiveElisionMustNotAliasUnwrittenRegs)

@@ -12,9 +12,9 @@
 #include <climits>
 #include <vector>
 
-#include "analysis/profile.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "profile_oracle.h"
 #include "region/formation.h"
 #include "region/region_stats.h"
 #include "support/hash.h"
@@ -202,13 +202,13 @@ TEST(Proxies, ProfilesAreConsistentAndInputDependent)
     ProfileOptions train;
     train.input_seed = 42;
     profileFunction(fn, spec.params.mem_words, train);
-    EXPECT_TRUE(analysis::checkProfileConsistency(fn).empty());
-    const double w_train = analysis::weightedOpCount(fn);
+    EXPECT_TRUE(tg_test::checkProfileConsistency(fn).empty());
+    const double w_train = tg_test::weightedOpCount(fn);
 
     ProfileOptions reference;
     reference.input_seed = 4242;
     profileFunction(fn, spec.params.mem_words, reference);
-    const double w_ref = analysis::weightedOpCount(fn);
+    const double w_ref = tg_test::weightedOpCount(fn);
     EXPECT_NE(w_train, w_ref);
 }
 

@@ -57,6 +57,11 @@
  * Observability: send a "stats" request over the protocol, or plain
  * HTTP — `curl --unix-socket PATH http://treegiond/stats` or
  * `curl http://127.0.0.1:PORT/stats` — against the same listeners.
+ *
+ * Exit status: 0 after a clean drain; 1 when a listener cannot be
+ * bound, or when the drain could not write the --metrics-json or
+ * --trace-spans file (each such path is named on stderr); 2 on a
+ * usage error.
  */
 
 #include <csignal>
@@ -208,8 +213,13 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr, "treegiond: serving (SIGTERM drains)\n");
 
-    server.waitUntilStopped();
+    const bool flushed = server.waitUntilStopped();
     g_server = nullptr;
+    if (!flushed) {
+        std::fprintf(stderr, "treegiond: drained, but telemetry was "
+                             "not written\n");
+        return 1;
+    }
     std::fprintf(stderr, "treegiond: drained cleanly\n");
     return 0;
 }
