@@ -15,6 +15,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "sched/pipeline.h"
+#include "support/thread_pool.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
 
@@ -144,6 +145,36 @@ TEST_F(ParallelPipelineTest, RepeatedParallelRunsAreIdentical)
                               jobs_[i].options.model.issue_width),
                   fingerprint(second[i].result,
                               jobs_[i].options.model.issue_width));
+    }
+}
+
+TEST_F(ParallelPipelineTest, CallerPoolMatchesPrivatePool)
+{
+    const auto reference = runPipelineParallel(jobs_, 2);
+
+    // One caller-owned pool serves several batches through either
+    // overload; num_threads is ignored once a pool is passed, so even
+    // num_threads == 1 runs on the pool instead of inline.
+    support::ThreadPool pool(2);
+    ParallelRunOptions run;
+    run.pool = &pool;
+    std::vector<std::vector<PipelineJobResult>> batches;
+    batches.push_back(runPipelineParallel(jobs_, 8, &pool));
+    batches.push_back(runPipelineParallel(jobs_, run));
+    batches.push_back(runPipelineParallel(jobs_, 1, &pool));
+
+    for (size_t b = 0; b < batches.size(); ++b) {
+        const auto &results = batches[b];
+        ASSERT_EQ(results.size(), jobs_.size()) << "batch " << b;
+        for (size_t i = 0; i < results.size(); ++i) {
+            EXPECT_EQ(results[i].label, jobs_[i].label);
+            EXPECT_EQ(results[i].projected_peak_bytes, 0u)
+                << "an unbudgeted run projects nothing";
+            const int width = jobs_[i].options.model.issue_width;
+            EXPECT_EQ(fingerprint(results[i].result, width),
+                      fingerprint(reference[i].result, width))
+                << "job " << jobs_[i].label << " batch " << b;
+        }
     }
 }
 
