@@ -2,36 +2,30 @@
 """Compare a fresh bench --json run against the last committed
 baseline entry (CI perf-smoke gate).
 
-Defaults gate the scheduler bench (BENCH_scheduler.json, metric
-compiles_per_s). The cluster bench reuses the same machinery:
-
     perf_compare.py fresh_cluster.json --history BENCH_cluster.json
         --schema treegion-cluster-bench/v1 --metric reqs_per_s
         --max-regression 0.30
 
-Usage: perf_compare.py FRESH_JSON [--history BENCH_scheduler.json]
-                       [--schema SCHEMA] [--metric FIELD]
+Usage: perf_compare.py FRESH_JSON --history HISTORY_JSON
+                       --schema SCHEMA --metric FIELD
                        [--max-regression 0.20]
 
-Absolute compiles/s depends on the machine, so per-config ratios are
-normalized by the median ratio across configs: the median captures
-"how much faster/slower is this machine than the one that recorded the
-baseline", and a config whose normalized ratio still falls more than
---max-regression below 1.0 has regressed relative to its peers. A
-uniform slowdown of every config by construction cannot trip the gate
-(it is indistinguishable from a slower machine); the tier-1 suite and
-the 2x acceptance bar in BENCH_scheduler.json cover that axis.
+Absolute throughput depends on the machine, so per-config ratios are
+normalized by the median ratio across configs (median_norm.py): the
+median captures "how much faster/slower is this machine than the one
+that recorded the baseline", and a config whose normalized ratio still
+falls more than --max-regression below 1.0 has regressed relative to
+its peers. A uniform slowdown of every config by construction cannot
+trip the gate (it is indistinguishable from a slower machine).
 
 Exit codes: 0 ok, 1 regression, 2 usage/schema error.
 """
 
 import argparse
 import json
-import statistics
 import sys
 
-DEFAULT_SCHEMA = "treegion-sched-bench/v1"
-DEFAULT_METRIC = "compiles_per_s"
+from median_norm import normalize
 
 
 def load_entry(obj, what, schema, metric):
@@ -49,13 +43,11 @@ def load_entry(obj, what, schema, metric):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("fresh", help="JSON file written by --json")
-    ap.add_argument("--history", default="BENCH_scheduler.json")
-    ap.add_argument("--schema", default=DEFAULT_SCHEMA,
-                    help="required schema tag in both files "
-                         f"(default {DEFAULT_SCHEMA})")
-    ap.add_argument("--metric", default=DEFAULT_METRIC,
-                    help="per-config throughput field to compare "
-                         f"(default {DEFAULT_METRIC})")
+    ap.add_argument("--history", required=True)
+    ap.add_argument("--schema", required=True,
+                    help="required schema tag in both files")
+    ap.add_argument("--metric", required=True,
+                    help="per-config throughput field to compare")
     ap.add_argument("--max-regression", type=float, default=0.20,
                     help="fail when a normalized ratio drops more than "
                          "this fraction below 1.0 (default 0.20)")
@@ -76,8 +68,8 @@ def main():
         sys.exit(f"error: config mismatch: fresh {sorted(fresh)} vs "
                  f"baseline {sorted(base)}")
 
-    ratios = {name: fresh[name] / base[name] for name in base}
-    median = statistics.median(ratios.values())
+    median, norm = normalize({name: fresh[name] / base[name]
+                              for name in base})
     floor = 1.0 - args.max_regression
 
     print(f"baseline: {base_entry.get('label')} "
@@ -85,13 +77,12 @@ def main():
     print(f"{'config':<12}{'base':>10}{'fresh':>10}{'norm':>8}")
     failed = []
     for name in base:
-        norm = ratios[name] / median
         mark = ""
-        if norm < floor:
+        if norm[name] < floor:
             failed.append(name)
             mark = "  << REGRESSION"
         print(f"{name:<12}{base[name]:>10.1f}{fresh[name]:>10.1f}"
-              f"{norm:>8.2f}{mark}")
+              f"{norm[name]:>8.2f}{mark}")
 
     if failed:
         print(f"FAIL: {', '.join(failed)} regressed more than "

@@ -30,16 +30,9 @@ constexpr sched::RegionScheme kAllSchemes[] = {
     sched::RegionScheme::Hyperblock,
 };
 
-constexpr sched::Heuristic kAllHeuristics[] = {
-    sched::Heuristic::DependenceHeight,
-    sched::Heuristic::ExitCount,
-    sched::Heuristic::GlobalWeight,
-    sched::Heuristic::WeightedCount,
-};
-
 struct CellFailure
 {
-    FuzzConfig config;
+    sched::PipelineOptions options;
     OracleFailure fail;
 };
 
@@ -49,14 +42,14 @@ std::string
 writeRepro(const FoundBug &bug, const std::string &corpus_dir)
 {
     std::filesystem::create_directories(corpus_dir);
-    const size_t tag = std::hash<std::string>{}(bug.module_text +
-                                                bug.config.str() +
-                                                bug.oracle);
+    const size_t tag = std::hash<std::string>{}(
+        bug.module_text + sched::encodePipelineOptions(bug.options) +
+        bug.oracle);
     const std::string path = strprintf(
         "%s/%s-%08zx.tir", corpus_dir.c_str(), bug.oracle.c_str(),
         tag & 0xffffffff);
     std::ofstream os(path);
-    os << makeReproHeader(bug.config, bug.oracle_opts, bug.oracle,
+    os << makeReproHeader(bug.options, bug.oracle_opts, bug.oracle,
                           bug.detail);
     os << bug.module_text;
     return path;
@@ -92,21 +85,22 @@ runCampaign(const CampaignOptions &opts)
 
         // Scheme-independent oracle: the textual round trip.
         if (OracleFailure rt = checkRoundTrip(*mod))
-            failures.push_back({FuzzConfig{}, std::move(rt)});
+            failures.push_back({sched::PipelineOptions{}, std::move(rt)});
 
         // One cell per scheme x heuristic x width; lowering toggles
         // drawn per cell so the sweep covers both settings over time.
-        std::vector<FuzzConfig> cells;
+        std::vector<sched::PipelineOptions> cells;
         for (const sched::RegionScheme scheme : kAllSchemes) {
-            for (const sched::Heuristic heuristic : kAllHeuristics) {
+            for (const sched::Heuristic heuristic :
+                 sched::kAllHeuristics) {
                 for (const int width : opts.widths) {
-                    FuzzConfig config;
-                    config.scheme = scheme;
-                    config.heuristic = heuristic;
-                    config.width = width;
-                    config.dominator_parallelism = rng.nextBool(0.75);
-                    config.materialize_pbr = rng.nextBool(0.25);
-                    cells.push_back(config);
+                    sched::PipelineOptions cell;
+                    cell.scheme = scheme;
+                    cell.model = sched::MachineModel::custom(width);
+                    cell.sched.heuristic = heuristic;
+                    cell.sched.dominator_parallelism = rng.nextBool(0.75);
+                    cell.sched.materialize_pbr = rng.nextBool(0.25);
+                    cells.push_back(cell);
                 }
             }
         }
@@ -114,28 +108,29 @@ runCampaign(const CampaignOptions &opts)
 
         const ir::Function &fn = *mod->functions().front();
         const size_t mem_words = mod->memWords();
-        auto runCell = [&fn, mem_words,
-                        &oracle = opts.oracle](const FuzzConfig &config) {
+        auto runCell = [&fn, mem_words, &oracle = opts.oracle](
+                           const sched::PipelineOptions &options) {
             support::SpanScope cell_span(
                 "fuzz_cell", support::SpanScope::Root::IfEnabled);
             if (cell_span.live())
-                cell_span.arg("config", config.str());
-            return checkCell(fn, mem_words, config, oracle);
+                cell_span.arg("config",
+                              sched::encodePipelineOptions(options));
+            return checkCell(fn, mem_words, options, oracle);
         };
         if (pool) {
             std::vector<std::future<OracleFailure>> futures;
             futures.reserve(cells.size());
-            for (const FuzzConfig &config : cells)
+            for (const sched::PipelineOptions &options : cells)
                 futures.push_back(pool->submit(
-                    [&runCell, config] { return runCell(config); }));
+                    [&runCell, options] { return runCell(options); }));
             for (size_t i = 0; i < cells.size(); ++i) {
                 if (OracleFailure fail = futures[i].get())
                     failures.push_back({cells[i], std::move(fail)});
             }
         } else {
-            for (const FuzzConfig &config : cells) {
-                if (OracleFailure fail = runCell(config))
-                    failures.push_back({config, std::move(fail)});
+            for (const sched::PipelineOptions &options : cells) {
+                if (OracleFailure fail = runCell(options))
+                    failures.push_back({options, std::move(fail)});
             }
         }
 
@@ -164,11 +159,12 @@ runCampaign(const CampaignOptions &opts)
             fprintf(stderr,
                     "[treegion-fuzz] FAILURE oracle=%s %s\n"
                     "[treegion-fuzz]   %s\n",
-                    oracle.c_str(), failure.config.str().c_str(),
+                    oracle.c_str(),
+                    sched::encodePipelineOptions(failure.options).c_str(),
                     failure.fail.detail.c_str());
 
             FoundBug bug;
-            bug.config = failure.config;
+            bug.options = failure.options;
             bug.oracle_opts = opts.oracle;
             bug.oracle = oracle;
             bug.detail = failure.fail.detail;
@@ -183,11 +179,11 @@ runCampaign(const CampaignOptions &opts)
                         return checkRoundTrip(m);
                     };
                 } else {
-                    pred = [config = failure.config,
+                    pred = [options = failure.options,
                             oracle_opts =
                                 opts.oracle](const ir::Module &m) {
                         return checkCell(*m.functions().front(),
-                                         m.memWords(), config,
+                                         m.memWords(), options,
                                          oracle_opts);
                     };
                 }
@@ -223,7 +219,7 @@ runProxyAudit(int width, size_t jobs)
     struct Task
     {
         size_t proxy_index;
-        FuzzConfig config;
+        sched::PipelineOptions options;
     };
     std::vector<Task> tasks;
     std::vector<std::unique_ptr<ir::Module>> modules;
@@ -245,12 +241,13 @@ runProxyAudit(int width, size_t jobs)
                                    prof);
         baselines.push_back(sched::estimateBaselineTime(base));
         for (const sched::RegionScheme scheme : kAllSchemes) {
-            for (const sched::Heuristic heuristic : kAllHeuristics) {
-                FuzzConfig config;
-                config.scheme = scheme;
-                config.heuristic = heuristic;
-                config.width = width;
-                tasks.push_back({p, config});
+            for (const sched::Heuristic heuristic :
+                 sched::kAllHeuristics) {
+                sched::PipelineOptions options;
+                options.scheme = scheme;
+                options.model = sched::MachineModel::custom(width);
+                options.sched.heuristic = heuristic;
+                tasks.push_back({p, options});
             }
         }
     }
@@ -264,11 +261,11 @@ runProxyAudit(int width, size_t jobs)
             proxies[task.proxy_index].params.data_max;
         ProxyAuditRow row;
         row.proxy = proxies[task.proxy_index].name;
-        row.config = task.config;
+        row.options = task.options;
         row.baseline = baselines[task.proxy_index];
         OracleFailure fail =
             checkCell(*mod.functions().front(), mod.memWords(),
-                      task.config, cell_oracle, &row.estimate);
+                      task.options, cell_oracle, &row.estimate);
         row.oracle = fail.oracle;
         row.detail = fail.detail;
         rows[i] = std::move(row);

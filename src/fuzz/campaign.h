@@ -42,7 +42,7 @@ struct CampaignOptions
 /** One minimized finding. */
 struct FoundBug
 {
-    FuzzConfig config;
+    sched::PipelineOptions options;
     OracleOptions oracle_opts;
     std::string oracle;
     std::string detail;
@@ -75,10 +75,10 @@ std::string writeRepro(const FoundBug &bug,
 struct ProxyAuditRow
 {
     std::string proxy;
-    FuzzConfig config;
+    sched::PipelineOptions options;
     std::string oracle;  ///< failing oracle, empty = all passed
     std::string detail;
-    double estimate = 0.0;  ///< estimated cycles under config
+    double estimate = 0.0;  ///< estimated cycles under options
     double baseline = 0.0;  ///< bb @ 1U estimated cycles
 };
 

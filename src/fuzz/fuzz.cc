@@ -21,54 +21,6 @@ using support::strprintf;
 
 namespace {
 
-struct SchemeToken
-{
-    sched::RegionScheme scheme;
-    const char *token;
-};
-
-constexpr SchemeToken kSchemes[] = {
-    {sched::RegionScheme::BasicBlock, "bb"},
-    {sched::RegionScheme::Slr, "slr"},
-    {sched::RegionScheme::Superblock, "sb"},
-    {sched::RegionScheme::Treegion, "tree"},
-    {sched::RegionScheme::TreegionTailDup, "tree-td"},
-    {sched::RegionScheme::Hyperblock, "hyper"},
-};
-
-struct HeuristicToken
-{
-    sched::Heuristic heuristic;
-    const char *token;
-};
-
-constexpr HeuristicToken kHeuristics[] = {
-    {sched::Heuristic::DependenceHeight, "dep-height"},
-    {sched::Heuristic::ExitCount, "exit-count"},
-    {sched::Heuristic::GlobalWeight, "global-weight"},
-    {sched::Heuristic::WeightedCount, "weighted-count"},
-};
-
-const char *
-schemeToken(sched::RegionScheme scheme)
-{
-    for (const SchemeToken &s : kSchemes) {
-        if (s.scheme == scheme)
-            return s.token;
-    }
-    return "?";
-}
-
-const char *
-heuristicToken(sched::Heuristic heuristic)
-{
-    for (const HeuristicToken &h : kHeuristics) {
-        if (h.heuristic == heuristic)
-            return h.token;
-    }
-    return "?";
-}
-
 bool
 parseField(const std::string &field, const char *key, std::string &value)
 {
@@ -217,79 +169,9 @@ checkBackendAgreement(ir::Function &transformed,
 
 } // namespace
 
-std::string
-FuzzConfig::str() const
-{
-    return strprintf("scheme=%s heuristic=%s width=%d dom-par=%d "
-                     "pbr=%d",
-                     schemeToken(scheme), heuristicToken(heuristic),
-                     width, dominator_parallelism ? 1 : 0,
-                     materialize_pbr ? 1 : 0);
-}
-
-sched::PipelineOptions
-FuzzConfig::pipelineOptions() const
-{
-    sched::PipelineOptions options;
-    options.scheme = scheme;
-    options.model = sched::MachineModel::custom(width);
-    options.sched.heuristic = heuristic;
-    options.sched.dominator_parallelism = dominator_parallelism;
-    options.sched.materialize_pbr = materialize_pbr;
-    return options;
-}
-
-bool
-parseFuzzConfig(const std::string &text, FuzzConfig &out,
-                std::string *error)
-{
-    auto bad = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    for (const std::string &field : splitString(text, ' ')) {
-        if (field.empty())
-            continue;
-        std::string value;
-        if (parseField(field, "scheme", value)) {
-            bool found = false;
-            for (const SchemeToken &s : kSchemes) {
-                if (value == s.token) {
-                    out.scheme = s.scheme;
-                    found = true;
-                }
-            }
-            if (!found)
-                return bad("unknown scheme '" + value + "'");
-        } else if (parseField(field, "heuristic", value)) {
-            bool found = false;
-            for (const HeuristicToken &h : kHeuristics) {
-                if (value == h.token) {
-                    out.heuristic = h.heuristic;
-                    found = true;
-                }
-            }
-            if (!found)
-                return bad("unknown heuristic '" + value + "'");
-        } else if (parseField(field, "width", value)) {
-            out.width = std::atoi(value.c_str());
-            if (out.width <= 0)
-                return bad("bad width '" + value + "'");
-        } else if (parseField(field, "dom-par", value)) {
-            out.dominator_parallelism = value != "0";
-        } else if (parseField(field, "pbr", value)) {
-            out.materialize_pbr = value != "0";
-        } else {
-            return bad("unknown config field '" + field + "'");
-        }
-    }
-    return true;
-}
-
 OracleFailure
 checkCell(const ir::Function &fn, size_t mem_words,
-          const FuzzConfig &config, const OracleOptions &opts,
+          const sched::PipelineOptions &options, const OracleOptions &opts,
           double *estimated_time)
 {
     // Profile a private clone; the profile drives region formation
@@ -304,7 +186,7 @@ checkCell(const ir::Function &fn, size_t mem_words,
     // Compile on a second, private clone (tail-duplicating schemes
     // mutate the function they compile).
     sched::ClonedPipelineRun run =
-        sched::runPipelineOnClone(profiled, config.pipelineOptions());
+        sched::runPipelineOnClone(profiled, options);
     ir::Function &transformed = run.fn;
     sched::PipelineResult &res = run.result;
     if (estimated_time)
@@ -333,7 +215,7 @@ checkCell(const ir::Function &fn, size_t mem_words,
     // Oracle: schedule legality.
     {
         const auto problems = sched::verifyFunctionSchedule(
-            res.schedule, config.width);
+            res.schedule, options.model.issue_width);
         if (!problems.empty())
             return {"legality", firstLine(problems.front())};
     }
@@ -395,13 +277,14 @@ checkRoundTrip(const ir::Module &mod)
 }
 
 std::string
-makeReproHeader(const FuzzConfig &config, const OracleOptions &opts,
-                const std::string &oracle, const std::string &detail)
+makeReproHeader(const sched::PipelineOptions &options,
+                const OracleOptions &opts, const std::string &oracle,
+                const std::string &detail)
 {
     std::ostringstream os;
     os << "# treegion-fuzz repro\n";
     os << "# oracle=" << oracle << "\n";
-    os << "# config: " << config.str() << "\n";
+    os << "# config: " << sched::encodePipelineOptions(options) << "\n";
     os << strprintf("# oracle-options: input-seed=%llu inputs=%d "
                     "profile-runs=%d data-max=%d tamper=%d\n",
                     static_cast<unsigned long long>(opts.input_seed),
@@ -413,9 +296,9 @@ makeReproHeader(const FuzzConfig &config, const OracleOptions &opts,
 }
 
 bool
-parseReproHeader(const std::string &text, FuzzConfig &config,
-                 OracleOptions &opts, std::string *oracle,
-                 std::string *error)
+parseReproHeader(const std::string &text,
+                 sched::PipelineOptions &options, OracleOptions &opts,
+                 std::string *oracle, std::string *error)
 {
     auto bad = [&](const std::string &msg) {
         if (error)
@@ -436,7 +319,8 @@ parseReproHeader(const std::string &text, FuzzConfig &config,
             saw_oracle = true;
         } else if (startsWith(body, "config: ")) {
             std::string cfg_error;
-            if (!parseFuzzConfig(body.substr(8), config, &cfg_error))
+            if (!sched::parsePipelineOptions(body.substr(8), options,
+                                             &cfg_error))
                 return bad(cfg_error);
             saw_config = true;
         } else if (startsWith(body, "oracle-options: ")) {

@@ -29,7 +29,7 @@
  * and reparsing it is a fixed point (checkRoundTrip).
  *
  * Everything here is deterministic: a cell's outcome is a pure
- * function of (module text, FuzzConfig, OracleOptions).
+ * function of (module text, sched::PipelineOptions, OracleOptions).
  */
 
 #ifndef TREEGION_FUZZ_FUZZ_H
@@ -41,26 +41,6 @@
 #include "sched/pipeline.h"
 
 namespace treegion::fuzz {
-
-/** One pipeline configuration under test. */
-struct FuzzConfig
-{
-    sched::RegionScheme scheme = sched::RegionScheme::Treegion;
-    sched::Heuristic heuristic = sched::Heuristic::GlobalWeight;
-    int width = 4;  ///< issue width (1/4/8 in the sweep)
-    bool dominator_parallelism = true;
-    bool materialize_pbr = false;
-
-    /** Render as "scheme=tree heuristic=global-weight width=4 ...". */
-    std::string str() const;
-
-    /** Build the equivalent pipeline options. */
-    sched::PipelineOptions pipelineOptions() const;
-};
-
-/** Parse the FuzzConfig::str() format. @return false on error. */
-bool parseFuzzConfig(const std::string &text, FuzzConfig &out,
-                     std::string *error = nullptr);
 
 /** Inputs and knobs for the oracle run (not part of the config under
  * test, but needed to reproduce a failure exactly). */
@@ -92,7 +72,7 @@ struct OracleFailure
 };
 
 /**
- * Compile @p fn under @p config and run all five oracles.
+ * Compile @p fn under @p options and run all five oracles.
  *
  * @p fn is never mutated: the cell profiles and compiles private
  * clones. @p mem_words sizes the input images (module mem= field).
@@ -100,7 +80,7 @@ struct OracleFailure
  * estimated execution time (for audits and reports).
  */
 OracleFailure checkCell(const ir::Function &fn, size_t mem_words,
-                        const FuzzConfig &config,
+                        const sched::PipelineOptions &options,
                         const OracleOptions &opts = {},
                         double *estimated_time = nullptr);
 
@@ -109,9 +89,10 @@ OracleFailure checkRoundTrip(const ir::Module &mod);
 
 /**
  * Render the corpus repro header: "# "-prefixed lines (skipped by the
- * IR parser) recording the failing oracle, config and oracle options.
+ * IR parser) recording the failing oracle, the pipeline options (in
+ * encodePipelineOptions form) and the oracle options.
  */
-std::string makeReproHeader(const FuzzConfig &config,
+std::string makeReproHeader(const sched::PipelineOptions &options,
                             const OracleOptions &opts,
                             const std::string &oracle,
                             const std::string &detail);
@@ -120,7 +101,8 @@ std::string makeReproHeader(const FuzzConfig &config,
  * Parse a repro file's header back. @return false on a malformed
  * header. @p oracle receives the recorded failing oracle name.
  */
-bool parseReproHeader(const std::string &text, FuzzConfig &config,
+bool parseReproHeader(const std::string &text,
+                      sched::PipelineOptions &options,
                       OracleOptions &opts, std::string *oracle,
                       std::string *error = nullptr);
 

@@ -189,15 +189,27 @@ class Parser
         if (entry == kNoBlock || !fn.hasBlock(entry))
             return failb("function entry block missing");
         fn.setEntry(entry);
+        module_block_ids_ += fn.numBlockIds();
         return true;
     }
 
-    /** Ensure ids 0..id exist in @p fn. */
-    void
+    /**
+     * Ensure ids 0..id exist in @p fn, failing instead when the
+     * module's block tables would then hold more than kMaxBlockIds
+     * slots in all.
+     */
+    bool
     reserveBlocks(Function &fn, BlockId id)
     {
+        if (id < fn.numBlockIds())
+            return true;
+        if (module_block_ids_ + id + 1 > kMaxBlockIds)
+            return failb(strprintf("block id bb%u takes the module past "
+                                   "%u block ids",
+                                   id, kMaxBlockIds));
         while (fn.numBlockIds() <= id)
             fn.createBlock();
+        return true;
     }
 
     bool
@@ -211,7 +223,8 @@ class Parser
         if (raw >= kMaxBlockIds)
             return failBlockId(fields_[1]);
         const BlockId id = static_cast<BlockId>(raw);
-        reserveBlocks(fn, id);
+        if (!reserveBlocks(fn, id))
+            return false;
         if (id < defined.size() && defined[id])
             return failb(strprintf("block bb%u defined twice", id));
         if (defined.size() <= id)
@@ -492,8 +505,8 @@ class Parser
         if (i != end)
             return failb("trailing tokens in op");
         for (BlockId t : op.targets) {
-            if (t != kNoBlock)
-                reserveBlocks(fn, t);
+            if (t != kNoBlock && !reserveBlocks(fn, t))
+                return false;
         }
         return true;
     }
@@ -502,6 +515,8 @@ class Parser
     std::string *error_;
     size_t pos_ = 0;      ///< start of the next unread line
     size_t line_no_ = 0;  ///< 1-based number of the last line read
+    /** Block table slots of the functions parsed so far. */
+    size_t module_block_ids_ = 0;
     std::vector<std::string_view> fields_;  ///< header fields
     std::vector<std::string_view> toks_;    ///< op tokens, edge weights
 };

@@ -16,10 +16,11 @@ namespace treegion::ir {
 
 /**
  * Every block id in the text (headers, branch targets, entry=) must
- * be below this. Ids index dense per-function tables, so the parser
- * creates a block for every id below the largest one it meets; the
- * bound keeps one request from asking for gigabytes. It is 16x the
- * workload generator's 4,000-block soft cap.
+ * be below this, and so must the sum over a module's functions of
+ * (largest id + 1). Ids index dense per-function tables, so the
+ * parser creates a block for every id below the largest one it
+ * meets; the bound keeps one request from asking for gigabytes. It
+ * is 16x the workload generator's 4,000-block soft cap.
  */
 inline constexpr BlockId kMaxBlockIds = 1u << 16;
 

@@ -9,6 +9,8 @@
  * copies, tail duplication and dominator parallelism end to end.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "sched/pipeline.h"
@@ -97,8 +99,25 @@ makeConfigs()
     return configs;
 }
 
+/**
+ * "seed11_tree_td_global_weight_4U". Without a name, an instance is
+ * named by the bytes of its Config, padding included, so the test
+ * ids changed from build to build.
+ */
+std::string
+configName(const ::testing::TestParamInfo<Config> &info)
+{
+    const Config &c = info.param;
+    std::string name = "seed" + std::to_string(c.seed) + "_" +
+                       sched::regionSchemeName(c.scheme) + "_" +
+                       sched::heuristicName(c.heuristic) + "_" +
+                       std::to_string(c.width) + "U";
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, EquivalenceProperty,
-                         ::testing::ValuesIn(makeConfigs()));
+                         ::testing::ValuesIn(makeConfigs()), configName);
 
 TEST(EquivalenceEdgeCases, PbrMaterializationStaysCorrect)
 {

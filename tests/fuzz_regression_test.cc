@@ -69,11 +69,11 @@ TEST(FuzzRegression, CorpusReplaysClean)
         SCOPED_TRACE(entry.path().filename().string());
         const std::string text = readFile(entry.path());
 
-        fuzz::FuzzConfig config;
+        sched::PipelineOptions options;
         fuzz::OracleOptions opts;
         std::string oracle;
         std::string error;
-        ASSERT_TRUE(fuzz::parseReproHeader(text, config, opts, &oracle,
+        ASSERT_TRUE(fuzz::parseReproHeader(text, options, opts, &oracle,
                                            &error))
             << error;
         // Tamper repros are a standing fault injection, never a
@@ -108,7 +108,7 @@ TEST(FuzzRegression, CorpusReplaysClean)
             EXPECT_FALSE(fail) << fail.oracle << ": " << fail.detail;
         } else {
             const fuzz::OracleFailure fail = fuzz::checkCell(
-                *mod->functions().front(), mod->memWords(), config,
+                *mod->functions().front(), mod->memWords(), options,
                 opts);
             EXPECT_FALSE(fail) << fail.oracle << ": " << fail.detail;
         }
@@ -145,15 +145,15 @@ TEST(FuzzRegression, TamperInjectionFailsLegality)
         workloads::generateProgram("tamper", testProgramParams(7));
     const ir::Function &fn = *mod->functions().front();
 
-    fuzz::FuzzConfig config;
+    const sched::PipelineOptions options;
     fuzz::OracleOptions opts;
     const fuzz::OracleFailure clean =
-        fuzz::checkCell(fn, mod->memWords(), config, opts);
+        fuzz::checkCell(fn, mod->memWords(), options, opts);
     EXPECT_FALSE(clean) << clean.oracle << ": " << clean.detail;
 
     opts.tamper = 1;
     const fuzz::OracleFailure tampered =
-        fuzz::checkCell(fn, mod->memWords(), config, opts);
+        fuzz::checkCell(fn, mod->memWords(), options, opts);
     EXPECT_EQ(tampered.oracle, "legality") << tampered.detail;
 }
 
@@ -165,18 +165,18 @@ TEST(FuzzRegression, ReducerShrinksTamperedBugBelowQuarter)
     std::unique_ptr<ir::Module> mod =
         workloads::generateProgram("seeded", testProgramParams(7));
 
-    fuzz::FuzzConfig config;
-    config.scheme = sched::RegionScheme::BasicBlock;
-    config.heuristic = sched::Heuristic::DependenceHeight;
-    config.width = 1;
-    config.dominator_parallelism = false;
+    sched::PipelineOptions options;
+    options.scheme = sched::RegionScheme::BasicBlock;
+    options.model = sched::MachineModel::custom(1);
+    options.sched.heuristic = sched::Heuristic::DependenceHeight;
+    options.sched.dominator_parallelism = false;
     fuzz::OracleOptions opts;
     opts.tamper = 1;
 
     const fuzz::OraclePredicate pred =
         [&](const ir::Module &candidate) {
             return fuzz::checkCell(*candidate.functions().front(),
-                                   candidate.memWords(), config, opts);
+                                   candidate.memWords(), options, opts);
         };
     ASSERT_EQ(pred(*mod).oracle, "legality");
 
@@ -236,12 +236,13 @@ TEST(FuzzRegression, GeneratorSwitchSelectorsStayInRange)
 // The repro header must round-trip through its own parser.
 TEST(FuzzRegression, ReproHeaderRoundTrips)
 {
-    fuzz::FuzzConfig config;
-    config.scheme = sched::RegionScheme::TreegionTailDup;
-    config.heuristic = sched::Heuristic::WeightedCount;
-    config.width = 8;
-    config.dominator_parallelism = false;
-    config.materialize_pbr = true;
+    sched::PipelineOptions options;
+    options.scheme = sched::RegionScheme::TreegionTailDup;
+    options.model = sched::MachineModel::custom(8);
+    options.sched.heuristic = sched::Heuristic::WeightedCount;
+    options.sched.dominator_parallelism = false;
+    options.sched.materialize_pbr = true;
+    options.tail_dup.path_limit += 3;
     fuzz::OracleOptions opts;
     opts.input_seed = 12345;
     opts.equivalence_inputs = 3;
@@ -249,22 +250,53 @@ TEST(FuzzRegression, ReproHeaderRoundTrips)
     opts.data_max = 7;
 
     const std::string header = fuzz::makeReproHeader(
-        config, opts, "equivalence", "return value mismatch");
+        options, opts, "equivalence", "return value mismatch");
 
-    fuzz::FuzzConfig config2;
+    sched::PipelineOptions options2;
     fuzz::OracleOptions opts2;
     std::string oracle;
     std::string error;
     ASSERT_TRUE(
-        fuzz::parseReproHeader(header, config2, opts2, &oracle, &error))
+        fuzz::parseReproHeader(header, options2, opts2, &oracle, &error))
         << error;
     EXPECT_EQ(oracle, "equivalence");
-    EXPECT_EQ(config2.str(), config.str());
+    EXPECT_EQ(sched::encodePipelineOptions(options2),
+              sched::encodePipelineOptions(options));
     EXPECT_EQ(opts2.input_seed, opts.input_seed);
     EXPECT_EQ(opts2.equivalence_inputs, opts.equivalence_inputs);
     EXPECT_EQ(opts2.profile_runs, opts.profile_runs);
     EXPECT_EQ(opts2.data_max, opts.data_max);
     EXPECT_EQ(opts2.tamper, 0);
+}
+
+// Headers written before repros carried the whole options line name
+// five fields; the fields they omit keep their defaults.
+TEST(FuzzRegression, ShortConfigHeaderParses)
+{
+    const std::string text = readFile(
+        fs::path(TREEGION_CORPUS_DIR) / "crash-mwbr-selector.tir");
+    sched::PipelineOptions options;
+    fuzz::OracleOptions opts;
+    std::string oracle;
+    std::string error;
+    ASSERT_TRUE(fuzz::parseReproHeader(text, options, opts, &oracle,
+                                       &error))
+        << error;
+    EXPECT_EQ(oracle, "crash");
+    sched::PipelineOptions want;
+    want.scheme = sched::RegionScheme::BasicBlock;
+    want.model = sched::MachineModel::custom(1);
+    want.sched.heuristic = sched::Heuristic::DependenceHeight;
+    want.sched.dominator_parallelism = false;
+    want.sched.materialize_pbr = false;
+    EXPECT_EQ(sched::encodePipelineOptions(options),
+              sched::encodePipelineOptions(want));
+    EXPECT_EQ(options.model.name, "1U");
+
+    EXPECT_FALSE(fuzz::parseReproHeader(
+        "# oracle=crash\n# config: scheme=bb width=1 bogus=1\n",
+        options, opts, &oracle, &error));
+    EXPECT_NE(error.find("bogus"), std::string::npos) << error;
 }
 
 // Printing and reparsing must be a fixed point across the widened

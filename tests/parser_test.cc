@@ -200,6 +200,52 @@ TEST(Parser, RejectsBlockIdsPastTheLimit)
     EXPECT_EQ(mod->function("main").entry(), kMaxBlockIds - 1);
 }
 
+/** @p count functions, each with the single block bb@p id. */
+std::string
+functionsEndingAt(int count, BlockId id)
+{
+    std::string text = "module m mem=64\n";
+    for (int i = 0; i < count; ++i) {
+        text += "func @f" + std::to_string(i) + " entry=bb" +
+                std::to_string(id) + " gprs=1 preds=0 {\n  block bb" +
+                std::to_string(id) + " weight=0 {\n    RET 0\n  }\n}\n";
+    }
+    return text;
+}
+
+TEST(Parser, RejectsModulesPastTheBlockIdBudget)
+{
+    // Each function's table is as large as its largest id, so the
+    // bound caps the sum over the module: 200 functions ending in
+    // bb65535 once took 116 MB of tables.
+    std::string error;
+    EXPECT_EQ(parseModule(functionsEndingAt(200, kMaxBlockIds - 1),
+                          &error),
+              nullptr);
+    EXPECT_EQ(error, "line 8: block id bb65535 takes the module past "
+                     "65536 block ids");
+
+    // Tables that add up to the bound exactly still parse.
+    auto mod = parseModule(functionsEndingAt(2, kMaxBlockIds / 2 - 1),
+                           &error);
+    ASSERT_NE(mod, nullptr) << error;
+    EXPECT_EQ(mod->functions().size(), 2u);
+    EXPECT_EQ(parseModule(functionsEndingAt(3, kMaxBlockIds / 2 - 1),
+                          &error),
+              nullptr);
+    EXPECT_EQ(error, "line 13: block id bb32767 takes the module past "
+                     "65536 block ids");
+
+    // A branch target reserves a table slot too.
+    std::string text = functionsEndingAt(1, kMaxBlockIds - 2);
+    text += "func @g entry=bb0 gprs=1 preds=0 {\n  block bb0 weight=0 "
+            "{\n    BRU bb1\n  }\n}\n";
+    EXPECT_EQ(parseModule(text, &error), nullptr);
+    EXPECT_EQ(error,
+              "line 9: block id bb1 takes the module past 65536 block "
+              "ids");
+}
+
 TEST(Parser, NegativeImmediates)
 {
     const char *text = R"(

@@ -806,6 +806,59 @@ TEST_F(ServiceEndToEnd, BlockIdPastTheLimitIsAnError)
     EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
 }
 
+TEST_F(ServiceEndToEnd, ModulePastTheBlockIdBudgetIsAnError)
+{
+    startServer({});
+    // Every id is in range, but 200 tables of 65,536 slots each took
+    // 116 MB before the parser bounded their sum.
+    Request wide = compileRequest();
+    wide.module_text = "module m mem=512\n";
+    for (int i = 0; i < 200; ++i) {
+        wide.module_text += support::strprintf(
+            "func @f%d entry=bb65535 gprs=1 preds=0 {\n"
+            "  block bb65535 weight=0 {\n    RET 0\n  }\n}\n",
+            i);
+    }
+    const Response resp = callOnce(wide);
+    EXPECT_EQ(resp.status, status::kError);
+    EXPECT_NE(resp.error.find("line 8: block id bb65535 takes the "
+                              "module past 65536 block ids"),
+              std::string::npos)
+        << resp.error;
+
+    const Response ok = callOnce(compileRequest());
+    ASSERT_EQ(ok.status, status::kOk) << ok.error;
+    EXPECT_NE(ok.body.find("verify: ok"), std::string::npos);
+}
+
+TEST(ServerLifecycle, StopRequestedBeforeStartStillDrains)
+{
+    // treegiond installs its SIGTERM handler before start binds the
+    // listeners, so a signal can land before the loop runs: the stop
+    // must then only set the flag, and the drain must still run and
+    // write the telemetry.
+    const std::string dir = ::testing::TempDir();
+    const std::string metrics = dir + "tg-early-stop-metrics.json";
+    ServerOptions options;
+    options.unix_path = support::strprintf(
+        "/tmp/tg-test-%d-early-stop.sock", static_cast<int>(getpid()));
+    options.threads = 1;
+    options.metrics_path = metrics;
+    ::unlink(metrics.c_str());
+    Server server(options);
+    server.requestStop();
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    EXPECT_TRUE(server.waitUntilStopped());
+    std::ifstream in(metrics);
+    std::stringstream json;
+    json << in.rdbuf();
+    EXPECT_NE(json.str().find("\"cache\""), std::string::npos)
+        << json.str();
+    ::unlink(metrics.c_str());
+    ::unlink(options.unix_path.c_str());
+}
+
 TEST_F(ServiceEndToEnd, StatsRemarkCountersEqualFullStreams)
 {
     // The miss path counts remarks without building them; /stats must

@@ -500,9 +500,10 @@ TEST(Arena, VectorGrowsAndTruncates)
 }
 
 // ---------------------------------------------------------------------
-// Bench JSON schema (BENCH_scheduler.json / throughput_scheduler
-// --json). The schema is part of the repo's perf-tracking contract:
-// CI's perf-smoke job and humans appending entries both rely on these
+// Bench JSON schemas (BENCH_cluster.json and BENCH_memsched.json, the
+// --json output of throughput_cluster and throughput_memsched). The
+// schema is part of the repo's perf-tracking contract: CI's
+// perf-smoke job and humans appending entries both rely on these
 // exact keys, units and config names. Changing any of them requires a
 // version bump of the "schema" tag.
 
@@ -666,91 +667,6 @@ class JsonParser
 };
 
 Json
-loadBenchHistory()
-{
-    std::ifstream in(TREEGION_BENCH_JSON);
-    EXPECT_TRUE(in.good()) << "missing " << TREEGION_BENCH_JSON;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return JsonParser(ss.str()).parse();
-}
-
-/** The config names throughput_scheduler emits, in emission order. */
-const char *const kBenchConfigNames[] = {
-    "bb/4U",   "slr/4U",  "sb/4U",      "tree/1U",
-    "tree/4U", "tree/8U", "tree-td/4U", "hyper/4U",
-};
-
-TEST(BenchSchema, HistoryIsArrayOfV1Entries)
-{
-    const Json hist = loadBenchHistory();
-    ASSERT_EQ(hist.kind, Json::Kind::Arr);
-    ASSERT_FALSE(hist.arr.empty());
-    for (const Json &entry : hist.arr) {
-        ASSERT_EQ(entry.kind, Json::Kind::Obj);
-        EXPECT_EQ(entry["schema"].str, "treegion-sched-bench/v1");
-        EXPECT_EQ(entry["label"].kind, Json::Kind::Str);
-        EXPECT_FALSE(entry["label"].str.empty());
-        EXPECT_EQ(entry["bench_seed"].kind, Json::Kind::Num);
-        EXPECT_EQ(entry["threads"].num, 1.0) << "single-thread bench";
-        const Json &workload = entry["workload"];
-        ASSERT_EQ(workload.kind, Json::Kind::Obj);
-        EXPECT_EQ(workload["name"].str, "specint95-proxies");
-        EXPECT_GT(workload["functions"].num, 0.0);
-        EXPECT_GT(workload["ops_per_sweep"].num, 0.0);
-    }
-}
-
-TEST(BenchSchema, ConfigNamesAndUnitsArePinned)
-{
-    const Json hist = loadBenchHistory();
-    ASSERT_EQ(hist.kind, Json::Kind::Arr);
-    for (const Json &entry : hist.arr) {
-        const Json &configs = entry["configs"];
-        ASSERT_EQ(configs.kind, Json::Kind::Arr);
-        ASSERT_EQ(configs.arr.size(), std::size(kBenchConfigNames));
-        const double functions = entry["workload"]["functions"].num;
-        const double ops_sweep = entry["workload"]["ops_per_sweep"].num;
-        for (size_t i = 0; i < configs.arr.size(); ++i) {
-            const Json &c = configs.arr[i];
-            EXPECT_EQ(c["name"].str, kBenchConfigNames[i]);
-            // Units: compiles = whole-function pipeline runs, sweeps =
-            // passes over the workload set, rates are per wall-clock
-            // second. All self-consistent within float rounding.
-            const double sweeps = c["sweeps"].num;
-            const double compiles = c["compiles"].num;
-            const double wall_s = c["wall_s"].num;
-            EXPECT_GT(sweeps, 0.0);
-            EXPECT_GT(wall_s, 0.0);
-            EXPECT_EQ(compiles, sweeps * functions);
-            EXPECT_NEAR(c["compiles_per_s"].num, compiles / wall_s,
-                        0.01 * compiles / wall_s);
-            EXPECT_NEAR(c["ops_per_s"].num, sweeps * ops_sweep / wall_s,
-                        0.01 * sweeps * ops_sweep / wall_s);
-        }
-    }
-}
-
-TEST(BenchSchema, EntriesShareTheSeededWorkload)
-{
-    // Before/after comparisons (CI perf-smoke, the 2x acceptance bar)
-    // only make sense when every entry measured the same programs:
-    // same bench seed implies identical function count and op count.
-    const Json hist = loadBenchHistory();
-    ASSERT_EQ(hist.kind, Json::Kind::Arr);
-    ASSERT_FALSE(hist.arr.empty());
-    const Json &first = hist.arr.front();
-    for (const Json &entry : hist.arr) {
-        if (entry["bench_seed"].num != first["bench_seed"].num)
-            continue;
-        EXPECT_EQ(entry["workload"]["functions"].num,
-                  first["workload"]["functions"].num);
-        EXPECT_EQ(entry["workload"]["ops_per_sweep"].num,
-                  first["workload"]["ops_per_sweep"].num);
-    }
-}
-
-Json
 loadClusterBenchHistory()
 {
     std::ifstream in(TREEGION_CLUSTER_BENCH_JSON);
@@ -862,51 +778,6 @@ TEST(MemschedBenchSchema, FrontierMeetsTheAcceptanceBar)
     EXPECT_LE(tightest["makespan_s"].num,
               1.15 * fifo["makespan_s"].num)
         << "committed memsched baseline pays too much makespan";
-}
-
-Json
-loadOooBenchHistory()
-{
-    std::ifstream in(TREEGION_OOO_BENCH_JSON);
-    EXPECT_TRUE(in.good()) << "missing " << TREEGION_OOO_BENCH_JSON;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return JsonParser(ss.str()).parse();
-}
-
-/** The backend configs throughput_ooo emits, in emission order. */
-const char *const kOooConfigNames[] = {
-    "vliw", "ooo-small", "ooo-wide",
-};
-
-TEST(OooBenchSchema, HistoryIsArrayOfV1Entries)
-{
-    const Json hist = loadOooBenchHistory();
-    ASSERT_EQ(hist.kind, Json::Kind::Arr);
-    ASSERT_FALSE(hist.arr.empty());
-    for (const Json &entry : hist.arr) {
-        ASSERT_EQ(entry.kind, Json::Kind::Obj);
-        EXPECT_EQ(entry["schema"].str, "treegion-ooo-bench/v1");
-        EXPECT_FALSE(entry["label"].str.empty());
-        EXPECT_GT(entry["bench_seed"].num, 0.0);
-        const Json &configs = entry["configs"];
-        ASSERT_EQ(configs.kind, Json::Kind::Arr);
-        ASSERT_EQ(configs.arr.size(), std::size(kOooConfigNames));
-        for (size_t i = 0; i < configs.arr.size(); ++i) {
-            const Json &c = configs.arr[i];
-            EXPECT_EQ(c["name"].str, kOooConfigNames[i]);
-            // Units: a cell is one simulated execution of one
-            // scheduled proxy on one input image; rates are per
-            // wall-clock second and must be self-consistent.
-            const double cells = c["cells"].num;
-            const double wall_s = c["wall_s"].num;
-            EXPECT_GT(cells, 0.0);
-            EXPECT_GT(wall_s, 0.0);
-            EXPECT_NEAR(c["cells_per_s"].num, cells / wall_s,
-                        0.01 * cells / wall_s);
-            EXPECT_GT(c["mcycles_per_s"].num, 0.0);
-        }
-    }
 }
 
 TEST(ClusterBenchSchema, WarmScalingMeetsTheAcceptanceBar)

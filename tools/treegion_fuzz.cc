@@ -62,7 +62,8 @@ runAudit(int width, size_t jobs)
                         proxy.c_str(), row.baseline);
         }
         std::printf("  %-64s est %10.1f  speedup %5.2f  %s%s\n",
-                    row.config.str().c_str(), row.estimate,
+                    sched::encodePipelineOptions(row.options).c_str(),
+                    row.estimate,
                     row.estimate > 0.0 ? row.baseline / row.estimate
                                        : 0.0,
                     row.oracle.empty() ? "ok" : "FAIL ",
@@ -148,7 +149,8 @@ main(int argc, char **argv)
                     result.bugs.size());
         for (const fuzz::FoundBug &bug : result.bugs) {
             std::printf("  %s: %s (%zu -> %zu ops) %s\n",
-                        bug.oracle.c_str(), bug.config.str().c_str(),
+                        bug.oracle.c_str(),
+                        sched::encodePipelineOptions(bug.options).c_str(),
                         bug.original_ops, bug.reduced_ops,
                         bug.repro_path.c_str());
         }

@@ -52,24 +52,9 @@
  * Batch results are printed in deterministic input order — function
  * order x configuration order — whatever the thread count.
  *
- * Remote compilation against a running treegiond:
- *   --server ADDR        compile on the server instead of locally
- *                        (ADDR: "unix:/path", an absolute socket
- *                        path, or "host:port"; a comma-separated
- *                        list "A,B,C" routes over the cluster's
- *                        consistent-hash ring with failover)
- *   --no-cache           ask the server to bypass its compile cache
- *   --trace-spans FILE   with --server: record the client-side spans
- *                        of this invocation ("call", "clock-sync")
- *                        and append them to FILE as treegion-span/v1
- *                        JSONL; the trace id propagates to the
- *                        replicas so their --trace-spans files merge
- *                        into one tree (treegion-report --trace-merge)
- *   --trace-sample R     sampling probability in [0,1] (default 1)
- * The pipeline options above are encoded and shipped with the
- * module; the server replies with the same stats (plus schedules
- * under --print-schedule), served from its content-addressed cache
- * when possible.
+ * To compile on a running treegiond instead, use treegion-client
+ * with the same configuration in encodePipelineOptions form
+ * (--options "scheme=tree heuristic=gw width=4").
  */
 
 #include <chrono>
@@ -88,8 +73,6 @@
 #include "region/graphviz.h"
 #include "sched/pipeline.h"
 #include "sched/schedule_verifier.h"
-#include "service/client.h"
-#include "service/ring.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
 #include "support/spans.h"
@@ -123,10 +106,6 @@ struct CliOptions
     bool sweep = false;
     std::string trace_json;
     std::string remarks_path;
-    std::string server;
-    bool no_cache = false;
-    std::string span_path;
-    double span_sample = 1.0;
     std::string flightrec_path;
 };
 
@@ -158,68 +137,6 @@ writeRemarks(const std::string &path, const std::string &jsonl)
     }
     out << jsonl;
     return true;
-}
-
-/**
- * Ship the module to a treegiond instead of compiling locally. The
- * server performs the same profile + pipeline + verify sequence, so
- * the printed stats match a local run of the same configuration.
- */
-int
-runOnServer(const CliOptions &cli, const std::string &source)
-{
-    service::Request req;
-    req.options = sched::encodePipelineOptions(cli.pipeline);
-    req.want_schedule = cli.print_schedule;
-    req.no_cache = cli.no_cache;
-    req.profile = cli.do_profile;
-    req.profile_seed = cli.profile_seed;
-    req.profile_runs = cli.profile_runs;
-    req.module_text = source;
-
-    std::string error;
-    service::Response resp;
-    if (cli.server.find(',') != std::string::npos) {
-        // A member list: route by cache key over the shared ring,
-        // failing over past dead or draining replicas.
-        service::ClusterClient client(
-            support::splitString(cli.server, ','));
-        if (!client.call(req, &resp, &error)) {
-            std::fprintf(stderr, "server call failed: %s\n",
-                         error.c_str());
-            return 1;
-        }
-    } else {
-        auto client = service::Client::connect(cli.server, &error);
-        if (!client) {
-            std::fprintf(stderr, "connect %s: %s\n",
-                         cli.server.c_str(), error.c_str());
-            return 1;
-        }
-        // When tracing, sample the server's clock first so merged
-        // traces can align this file with the server's (no-op when
-        // span collection is off).
-        std::string sync_error;
-        client->syncClock(&sync_error);
-        if (!client->call(req, &resp, &error)) {
-            std::fprintf(stderr, "server call failed: %s\n",
-                         error.c_str());
-            return 1;
-        }
-    }
-    if (resp.status != service::status::kOk) {
-        std::fprintf(stderr, "server: %s%s%s\n", resp.status.c_str(),
-                     resp.error.empty() ? "" : ": ",
-                     resp.error.c_str());
-        if (resp.retry_after_ms > 0)
-            std::fprintf(stderr, "server: retry after %lld ms\n",
-                         static_cast<long long>(resp.retry_after_ms));
-        return 1;
-    }
-    std::fprintf(stderr, "server: ok%s, compile %.2f ms\n",
-                 resp.cached ? " (cached)" : "", resp.compile_ms);
-    std::fputs(resp.body.c_str(), stdout);
-    return 0;
 }
 
 int
@@ -477,14 +394,6 @@ main(int argc, char **argv)
             cli.trace_json = next();
         } else if (arg == "--remarks") {
             cli.remarks_path = next();
-        } else if (arg == "--server") {
-            cli.server = next();
-        } else if (arg == "--no-cache") {
-            cli.no_cache = true;
-        } else if (arg == "--trace-spans") {
-            cli.span_path = next();
-        } else if (arg == "--trace-sample") {
-            cli.span_sample = std::atof(next());
         } else if (arg == "--flight-rec") {
             cli.flightrec_path = next();
         } else if (arg == "--help" || arg == "-h") {
@@ -524,22 +433,6 @@ main(int argc, char **argv)
         buffer << file.rdbuf();
         source = buffer.str();
     }
-    // ---- Remote mode: the server does the rest.
-    if (!cli.server.empty()) {
-        if (!cli.span_path.empty()) {
-            auto &spans = support::SpanCollector::instance();
-            spans.setService("treegionc");
-            spans.configure(cli.span_sample);
-        }
-        const int rc = runOnServer(cli, source);
-        if (!cli.span_path.empty() &&
-            !support::SpanCollector::instance().writeJsonl(
-                cli.span_path, /*append=*/true))
-            std::fprintf(stderr, "cannot write spans to %s\n",
-                         cli.span_path.c_str());
-        return rc;
-    }
-
     // A local trace is the span buffer rendered for Chrome: every
     // stage scope below this root (and each pool worker's "job" root)
     // records one span.

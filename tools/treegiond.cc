@@ -194,17 +194,21 @@ main(int argc, char **argv)
     // (metrics + spans + rings); until then it is the ring dump.
     support::setPanicHook(&panicFlush);
 
+    // The handlers go in before start binds the listeners: a script
+    // may signal as soon as the socket exists. A stop requested
+    // before the loop runs only sets the flag; waitUntilStopped
+    // honours it and drains.
     service::Server server(std::move(options));
-    std::string error;
-    if (!server.start(&error)) {
-        std::fprintf(stderr, "treegiond: %s\n", error.c_str());
-        return 1;
-    }
-
     g_server = &server;
     std::signal(SIGTERM, handleSignal);
     std::signal(SIGINT, handleSignal);
     std::signal(SIGPIPE, SIG_IGN);
+    std::string error;
+    if (!server.start(&error)) {
+        g_server = nullptr;
+        std::fprintf(stderr, "treegiond: %s\n", error.c_str());
+        return 1;
+    }
 
     if (server.tcpPort() >= 0) {
         // Scripts read this to find an ephemeral port.
