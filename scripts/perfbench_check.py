@@ -59,6 +59,7 @@ UNGATED = {
     (None, "service.compile_ms_p50"):
         "measured inside the server under 2 clients, so it moves with "
         "contention the replayed stages do not see",
+    (None, "service.queue_wait_ms_p50"): "queueing under 2 clients",
     (None, "service.queue_wait_ms_p99"): "queueing under 2 clients",
     ("farm-cold", "region.stats_us"): "2-3 us per call",
 }

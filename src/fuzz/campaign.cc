@@ -108,8 +108,11 @@ runCampaign(const CampaignOptions &opts)
 
         const ir::Function &fn = *mod->functions().front();
         const size_t mem_words = mod->memWords();
-        auto runCell = [&fn, mem_words, &oracle = opts.oracle](
+        // Cells on pool threads stay children of this program's span.
+        const support::SpanContext program = support::currentSpanContext();
+        auto runCell = [&fn, mem_words, &oracle = opts.oracle, program](
                            const sched::PipelineOptions &options) {
+            const support::SpanContextScope in_program(program);
             support::SpanScope cell_span(
                 "fuzz_cell", support::SpanScope::Root::IfEnabled);
             if (cell_span.live())

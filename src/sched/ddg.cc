@@ -295,25 +295,6 @@ Ddg::build(const LoweredRegion &lowered, const RegionIndex &index,
         }
     }
 
-    // Predecessor lists: the CSR mirror of the merged successors.
-    pred_off_ = arena.allocZeroed<uint32_t>(n + 1);
-    for (size_t i = 0; i < n; ++i) {
-        for (const DdgEdge &e : succs(i))
-            ++pred_off_[e.other + 1];
-    }
-    for (size_t i = 0; i < n; ++i)
-        pred_off_[i + 1] += pred_off_[i];
-    pred_list_ = arena.allocArray<DdgEdge>(pred_off_[n]);
-    {
-        uint32_t *fill = arena.allocArray<uint32_t>(n);
-        std::memcpy(fill, pred_off_, n * sizeof(uint32_t));
-        for (size_t i = 0; i < n; ++i) {
-            for (const DdgEdge &e : succs(i))
-                pred_list_[fill[e.other]++] = {static_cast<uint32_t>(i),
-                                               e.latency, e.slot_ordered};
-        }
-    }
-
     // Heights: longest path over the stored edges, plus the control
     // rule for exit branches (1 + the tallest op homed strictly below
     // the branch's block). sub[bi] memoizes the tallest op at or

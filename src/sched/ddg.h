@@ -39,8 +39,8 @@
  * stamp table in linear time.
  *
  * Storage: everything lives in a caller-provided per-job arena (see
- * DESIGN.md §11) — per-node successor lists of POD edges and, once
- * they are merged, their predecessor mirror as one CSR array; no
+ * DESIGN.md §11) — per-node successor lists of POD edges, no
+ * predecessor lists (the list scheduler reads successors only), no
  * per-node heap traffic. The one-argument constructor owns a private
  * arena for convenience in tests and one-off tools.
  */
@@ -87,13 +87,6 @@ class Ddg
         return {succs_[i].data, succs_[i].size};
     }
 
-    /** @return incoming edges of node @p i. */
-    support::Span<DdgEdge>
-    preds(size_t i) const
-    {
-        return {pred_list_ + pred_off_[i], pred_off_[i + 1] - pred_off_[i]};
-    }
-
     /**
      * Dependence height of node @p i: the critical-path length (in
      * cycles) from the node to any sink, inclusive of its own
@@ -128,7 +121,7 @@ class Ddg
     void build(const LoweredRegion &lowered, const RegionIndex &index,
                support::Arena &arena);
 
-    /** Successor side only; preds are mirrored once succs are final. */
+    /** Add the edge @p from -> @p to to @p from's successors. */
     void
     addEdge(support::Arena &arena, size_t from, size_t to, int latency,
             bool slot_ordered)
@@ -140,8 +133,6 @@ class Ddg
 
     size_t n_ = 0;
     EdgeList *succs_ = nullptr;
-    uint32_t *pred_off_ = nullptr;  ///< CSR mirror of succs_
-    DdgEdge *pred_list_ = nullptr;
     int32_t *heights_ = nullptr;
 
     /** Backing storage for the convenience constructor only. */

@@ -51,10 +51,12 @@ schedArena()
 /**
  * The scheduling hot path over structure-of-arrays state (DESIGN.md
  * §11): every per-op attribute is a dense arena array indexed by the
- * lowered op id, the ready list is a bitset over priority ranks, and
- * dependence bookkeeping is incremental (pending-predecessor counts),
- * so each cycle touches only pred-complete candidates instead of
- * rescanning every unscheduled op.
+ * lowered op id, and dependence bookkeeping is incremental: retiring
+ * an op walks its successors, counting down their pending
+ * predecessors and raising their earliest cycles. A pred-complete op
+ * waits on a list until its earliest cycle, then enters the candidate
+ * bitset over priority ranks, so every candidate can issue and each
+ * cycle touches only those.
  */
 class Scheduler
 {
@@ -82,12 +84,8 @@ class Scheduler
     int
     placedLength() const
     {
-        int length = 0;
-        for (size_t i = 0; i < n_; ++i) {
-            if (!elided_[i])
-                length = std::max(length, cycle_[i] + 1);
-        }
-        return length;
+        return placed_count_ ? cycle_[placed_[placed_count_ - 1]] + 1
+                             : 0;
     }
 
   private:
@@ -102,34 +100,12 @@ class Scheduler
         return {cycle_[i], slot_[i]};
     }
 
-    /**
-     * Can node @p i issue at (@p cycle, @p slot)? All DDG
-     * predecessors must be scheduled with their latencies satisfied.
-     * Only called for pred-complete candidates; the slow scan handles
-     * slot-ordered edges, everything else is answered by the cached
-     * earliest-cycle bound.
-     */
-    bool
-    ready(uint32_t i, int cycle, int slot) const
+    /** @p i's effective (cycle, slot) as one ordered key. */
+    int64_t
+    positionKey(uint32_t i) const
     {
-        if (cycle < min_cycle_[i])
-            return false;
-        if (!has_slot_pred_[i])
-            return true;
-        for (const DdgEdge &e : ddg_.preds(i)) {
-            const auto [pc, ps] = position(e.other);
-            if (e.latency > 0) {
-                if (cycle < pc + e.latency)
-                    return false;
-            } else if (e.slot_ordered) {
-                if (pc > cycle || (pc == cycle && ps >= slot))
-                    return false;
-            } else {
-                if (cycle < pc)
-                    return false;
-            }
-        }
-        return true;
+        const auto [cycle, slot] = position(i);
+        return int64_t{cycle} << 32 | slot;
     }
 
     /**
@@ -160,22 +136,10 @@ class Scheduler
                 twin.op.srcs != lop.op.srcs) {
                 continue;
             }
-            // The twin's position must satisfy this op's memory
-            // ordering edges (the value edges are identical by source
-            // equality).
-            const auto [tc, ts] = position(j);
-            bool order_ok = true;
-            for (const DdgEdge &e : ddg_.preds(i)) {
-                if (e.latency == 0 && e.slot_ordered) {
-                    const auto [pc, ps] = position(e.other);
-                    if (!scheduled_[e.other] || pc > tc ||
-                        (pc == tc && ps >= ts)) {
-                        order_ok = false;
-                        break;
-                    }
-                }
-            }
-            if (order_ok)
+            // The twin must follow this op's slot-ordered predecessors,
+            // all placed by now (the value edges are identical by
+            // source equality).
+            if (slot_pred_[i] < positionKey(j))
                 return j;
         }
         return npos;
@@ -208,25 +172,20 @@ class Scheduler
     }
 
     /**
-     * Node @p i just became pred-complete: cache its earliest legal
-     * cycle (slot-ordered edges still need the per-slot scan) and
-     * enter it into the candidate pool.
+     * Node @p i is pred-complete: a candidate from its earliest cycle
+     * on. Every predecessor sits at an earlier cycle or at a lower
+     * slot of this one, so no slot-ordered edge can hold it back.
      */
     void
     onPredComplete(uint32_t i)
     {
-        int mc = 0;
-        bool has_slot = false;
-        for (const DdgEdge &e : ddg_.preds(i)) {
-            const auto [pc, ps] = position(e.other);
-            (void)ps;
-            mc = std::max(mc, e.latency > 0 ? pc + e.latency : pc);
-            has_slot = has_slot || e.slot_ordered;
+        if (earliest_[i] > now_) {
+            waiting_[waiting_count_++] = i;
+            return;
         }
-        min_cycle_[i] = mc;
-        has_slot_pred_[i] = has_slot;
         const uint32_t r = rank_of_[i];
         cand_[r >> 6] |= 1ull << (r & 63);
+        ++cand_count_;
     }
 
     /** Mark @p i placed and release its successors. */
@@ -235,9 +194,17 @@ class Scheduler
     {
         const uint32_t r = rank_of_[i];
         cand_[r >> 6] &= ~(1ull << (r & 63));
+        --cand_count_;
+        const int64_t key = positionKey(i);
+        const int cycle = static_cast<int>(key >> 32);
         for (const DdgEdge &e : ddg_.succs(i)) {
-            if (--pending_[e.other] == 0)
-                onPredComplete(e.other);
+            const uint32_t j = e.other;
+            earliest_[j] = std::max(
+                earliest_[j], e.latency > 0 ? cycle + e.latency : cycle);
+            if (e.latency == 0 && e.slot_ordered)
+                slot_pred_[j] = std::max(slot_pred_[j], key);
+            if (--pending_[j] == 0)
+                onPredComplete(j);
         }
     }
 
@@ -328,14 +295,21 @@ class Scheduler
     int32_t *slot_ = nullptr;
     uint32_t *rep_ = nullptr;
     int32_t *pending_ = nullptr;     ///< unscheduled real preds
-    int32_t *min_cycle_ = nullptr;   ///< earliest cycle once complete
-    uint8_t *has_slot_pred_ = nullptr;
+    int32_t *earliest_ = nullptr;    ///< earliest cycle over placed preds
+    int64_t *slot_pred_ = nullptr;   ///< latest slot-ordered pred key
     uint8_t *twin_ok_ = nullptr;     ///< may serve as an elision twin
     uint8_t *elig_ = nullptr;        ///< may be elided itself
     uint32_t *order_ = nullptr;      ///< rank -> op (exits first)
     uint32_t *rank_of_ = nullptr;    ///< op -> rank
     uint64_t *cand_ = nullptr;       ///< candidate bitset over ranks
+    uint64_t *elig_ranks_ = nullptr; ///< ranks of elidable ops
     size_t cand_words_ = 0;
+    size_t cand_count_ = 0;
+    uint32_t *waiting_ = nullptr;    ///< pred-complete, before earliest
+    size_t waiting_count_ = 0;
+    uint32_t *placed_ = nullptr;     ///< placed ops in (cycle, slot) order
+    size_t placed_count_ = 0;
+    int now_ = 0;                    ///< the cycle being filled
     uint32_t *group_members_ = nullptr;  ///< dupGroup buckets
     uint32_t *group_lo_ = nullptr;   ///< op -> its bucket range
     uint32_t *group_hi_ = nullptr;
@@ -384,10 +358,13 @@ Scheduler::place()
     slot_ = arena_.allocFilled<int32_t>(n, -1);
     rep_ = arena_.allocZeroed<uint32_t>(n);
     pending_ = arena_.allocZeroed<int32_t>(n);
-    min_cycle_ = arena_.allocZeroed<int32_t>(n);
-    has_slot_pred_ = arena_.allocZeroed<uint8_t>(n);
+    earliest_ = arena_.allocZeroed<int32_t>(n);
+    slot_pred_ = arena_.allocFilled<int64_t>(n, -1);
     cand_words_ = (n + 63) / 64;
     cand_ = arena_.allocZeroed<uint64_t>(cand_words_);
+    elig_ranks_ = arena_.allocZeroed<uint64_t>(cand_words_);
+    waiting_ = arena_.allocArray<uint32_t>(n);
+    placed_ = arena_.allocArray<uint32_t>(n);
 
     // Dominator-parallelism support tables: per-dupGroup member
     // buckets (ascending op index) and static eligibility flags.
@@ -436,22 +413,37 @@ Scheduler::place()
         }
     }
 
-    // Pending-predecessor counts; the pred lists mirror the succ
-    // lists exactly, so retire()'s decrements match.
-    for (size_t i = 0; i < n; ++i)
-        pending_[i] = static_cast<int32_t>(ddg_.preds(i).size());
+    const bool elide_on = options_.dominator_parallelism;
+    for (size_t i = 0; i < n; ++i) {
+        if (elide_on && elig_[i])
+            elig_ranks_[rank_of_[i] >> 6] |= 1ull << (rank_of_[i] & 63);
+        for (const DdgEdge &e : ddg_.succs(i))
+            ++pending_[e.other];
+    }
     for (size_t i = 0; i < n; ++i) {
         if (pending_[i] == 0)
             onPredComplete(static_cast<uint32_t>(i));
     }
 
     size_t scheduled_count = 0;
-    int cycle = 0;
+    const int width = model_.issue_width;
     const int max_cycles =
         static_cast<int>(n) * 16 + 1024;  // runaway guard
 
     while (scheduled_count < n) {
-        TG_ASSERT(cycle < max_cycles);
+        // Release the waiting ops whose earliest cycle has come; with
+        // no candidate left, skip to the first cycle that has one.
+        if (cand_count_ == 0) {
+            now_ = max_cycles;
+            for (size_t k = 0; k < waiting_count_; ++k)
+                now_ = std::min(now_, earliest_[waiting_[k]]);
+        }
+        TG_ASSERT(now_ < max_cycles);
+        const size_t waited = waiting_count_;
+        waiting_count_ = 0;
+        for (size_t k = 0; k < waited; ++k)
+            onPredComplete(waiting_[k]);
+
         int slots_used = 0;
         bool progress = true;
         while (progress) {
@@ -460,45 +452,46 @@ Scheduler::place()
             // HIGHER rank mid-scan is picked up later in this same
             // pass (the word is re-read after every action); one
             // released at a lower rank waits for the next pass —
-            // exactly the classic whole-order rescan semantics.
+            // exactly the classic whole-order rescan semantics. With
+            // every slot taken only an elision can act.
             for (size_t w = 0; w < cand_words_; ++w) {
-                uint64_t bits = cand_[w];
+                auto live = [&] {
+                    return cand_[w] &
+                           (slots_used < width ? ~0ull : elig_ranks_[w]);
+                };
+                uint64_t bits = live();
                 while (bits) {
                     const int b = __builtin_ctzll(bits);
                     const uint32_t i =
                         order_[(w << 6) + static_cast<size_t>(b)];
                     bool acted = false;
-                    if (ready(i, cycle, slots_used)) {
-                        // Elision consumes no slot, so try it even
-                        // with all slots filled.
-                        if (options_.dominator_parallelism &&
-                            elig_[i]) {
-                            const uint32_t twin = findTwin(i);
-                            if (twin != npos) {
-                                elide(i, twin);
-                                ++elided_count_;
-                                acted = true;
-                            }
-                        }
-                        if (!acted && slots_used < model_.issue_width) {
-                            scheduled_[i] = 1;
-                            cycle_[i] = cycle;
-                            slot_[i] = slots_used;
-                            ++slots_used;
+                    // Elision consumes no slot, so try it even with
+                    // all slots filled.
+                    if (elide_on && elig_[i]) {
+                        const uint32_t twin = findTwin(i);
+                        if (twin != npos) {
+                            elide(i, twin);
+                            ++elided_count_;
                             acted = true;
                         }
+                    }
+                    if (!acted && slots_used < width) {
+                        scheduled_[i] = 1;
+                        cycle_[i] = now_;
+                        slot_[i] = slots_used++;
+                        placed_[placed_count_++] = i;
+                        acted = true;
                     }
                     if (acted) {
                         retire(i);
                         ++scheduled_count;
                         progress = true;
                     }
-                    bits = cand_[w] &
-                           (b == 63 ? 0 : (~0ull << (b + 1)));
+                    bits = live() & (b == 63 ? 0 : (~0ull << (b + 1)));
                 }
             }
         }
-        ++cycle;
+        ++now_;
     }
 }
 
@@ -511,23 +504,12 @@ Scheduler::assemble()
     sched.stats.renamed_defs = lowered_.renamed_defs;
     sched.stats.elided_ops = elided_count_;
 
-    // Surviving ops sorted by (cycle, slot).
-    uint32_t *emit_order = arena_.allocArray<uint32_t>(n);
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if (!elided_[i])
-            emit_order[kept++] = static_cast<uint32_t>(i);
-    }
-    std::sort(emit_order, emit_order + kept, [&](uint32_t a, uint32_t b) {
-        return std::make_pair(cycle_[a], slot_[a]) <
-               std::make_pair(cycle_[b], slot_[b]);
-    });
-
-    // Each op is moved once, into its place in sched.ops.
+    // Each surviving op is moved once, into its place in sched.ops:
+    // placement ran in (cycle, slot) order.
     uint32_t *lowered_to_out = arena_.allocFilled<uint32_t>(n, npos);
-    sched.ops.reserve(kept);
-    for (size_t k = 0; k < kept; ++k) {
-        const uint32_t i = emit_order[k];
+    sched.ops.reserve(placed_count_);
+    for (size_t k = 0; k < placed_count_; ++k) {
+        const uint32_t i = placed_[k];
         LoweredOp &lop = lowered_.ops[i];
         const bool speculative = lop.kind == LoweredKind::Computation &&
                                  !lop.op.guard &&
@@ -545,8 +527,8 @@ Scheduler::assemble()
                 .arg("cycle", sop.cycle)
                 .arg("slot", sop.slot);
         }
-        sched.length = std::max(sched.length, cycle_[i] + 1);
     }
+    sched.length = placedLength();
 
     sched.exits.reserve(lowered_.exits.size());
     for (LoweredExit &exit : lowered_.exits) {

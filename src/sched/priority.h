@@ -54,6 +54,9 @@ struct PriorityKeys
     int height = 0;
     size_t exit_count = 0;
     double weight = 0.0;
+    /** Dense rank of weight among the region's blocks, 0 = heaviest;
+     * equal weights (0.0 and -0.0 too) share a rank, NaN ranks last. */
+    uint32_t weight_rank = 0;
 };
 
 /**
@@ -73,7 +76,10 @@ const PriorityKeys *computePriorityKeys(ir::Function &fn,
 
 /**
  * The paper's sortDDGNodesBy*** step: @return an arena array of @p n
- * lowered-op indices in decreasing priority under @p heuristic.
+ * lowered-op indices in decreasing priority under @p heuristic, ties
+ * in lowering order. Stable counting passes over the keys, so heights
+ * and exit counts must be small (a region's, from
+ * computePriorityKeys) and weight_rank must rank weight densely.
  */
 uint32_t *sortByPriority(const PriorityKeys *keys, size_t n,
                          Heuristic heuristic, support::Arena &arena);

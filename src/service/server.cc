@@ -41,11 +41,18 @@ constexpr uint64_t kStopTag = 3;
 constexpr uint64_t kWakeTag = 4;
 
 int64_t
-nowMs()
+nowUs()
 {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
+    return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** Milliseconds, with the fraction, since @p start_us (nowUs). */
+double
+msSince(int64_t start_us)
+{
+    return static_cast<double>(nowUs() - start_us) / 1000.0;
 }
 
 Response
@@ -684,12 +691,11 @@ Server::dispatch(Conn &conn, std::string payload)
         dispatchCompile(conn, seq, std::move(req));
         return;
     }
-    const int64_t start_ms = nowMs();
+    const int64_t start_us = nowUs();
     metrics_.add("requests_total");
     const Response resp = handleInline(req);
     metrics_.add(statusCounterName(resp.status));
-    metrics_.observe("request_ms",
-                     static_cast<double>(nowMs() - start_ms));
+    metrics_.observe("request_ms", msSince(start_us));
     queueResponse(conn, seq, resp);
 }
 
@@ -741,13 +747,12 @@ Server::handleInline(const Request &req)
 void
 Server::dispatchCompile(Conn &conn, uint64_t seq, Request req)
 {
-    const int64_t enqueue_ms = nowMs();
+    const int64_t enqueue_us = nowUs();
     metrics_.add("requests_total");
 
     auto answerNow = [&](Response resp) {
         metrics_.add(statusCounterName(resp.status));
-        metrics_.observe("request_ms",
-                         static_cast<double>(nowMs() - enqueue_ms));
+        metrics_.observe("request_ms", msSince(enqueue_us));
         queueResponse(conn, seq, resp);
     };
 
@@ -783,12 +788,12 @@ Server::dispatchCompile(Conn &conn, uint64_t seq, Request req)
                 ? support::epochUs()
                 : 0;
         mem_parked_.push_back(
-            ParkedCompile{conn.id, seq, enqueue_ms, projected,
+            ParkedCompile{conn.id, seq, enqueue_us, projected,
                           park_start_us, std::move(req)});
         return;
     }
 
-    if (!submitCompile(conn, seq, enqueue_ms, projected,
+    if (!submitCompile(conn, seq, enqueue_us, projected,
                        std::move(req), /*counted=*/false)) {
         // Admission control: never let the queue grow past
         // queue_limit — answer with backpressure and a retry hint.
@@ -821,7 +826,7 @@ Server::projectedPeakBytes(const Request &req) const
 }
 
 bool
-Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
+Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_us,
                       uint64_t projected, Request &&req, bool counted,
                       int64_t park_start_us, int64_t park_end_us)
 {
@@ -842,16 +847,15 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
     if (projected > 0)
         metrics_.set("mem_projected_bytes", mem_gate_.inUseBytes());
     const uint64_t conn_id = conn.id;
-    pool_->submit([this, conn_id, seq, enqueue_ms, projected,
+    pool_->submit([this, conn_id, seq, enqueue_us, projected,
                    park_start_us, park_end_us,
                    req = std::move(req)]() mutable {
         if (options_.debug_queue_delay_ms > 0) {
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 options_.debug_queue_delay_ms));
         }
-        const int64_t waited_ms = nowMs() - enqueue_ms;
-        metrics_.observe("queue_wait_ms",
-                         static_cast<double>(waited_ms));
+        const int64_t waited_us = nowUs() - enqueue_us;
+        metrics_.observe("queue_wait_ms", waited_us / 1000.0);
         support::flightrec::note("compile",
                                  req.function.empty()
                                      ? "<first-fn>"
@@ -873,13 +877,14 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
             root.arg("verb", req.verb);
             const int64_t now_us = support::epochUs();
             support::noteSpan(root.context(), "queue-wait",
-                              now_us - waited_ms * 1000, now_us);
+                              now_us - waited_us, now_us);
             if (park_start_us > 0 && park_end_us > park_start_us)
                 support::noteSpan(root.context(), "mem-gate-park",
                                   park_start_us, park_end_us);
         }
 
         Response resp;
+        const int64_t waited_ms = waited_us / 1000;
         if (req.deadline_ms > 0 && waited_ms > req.deadline_ms) {
             // The client's deadline passed while the request sat in
             // the queue: cancel instead of doing stale work.
@@ -894,8 +899,7 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
         }
         admitted_.fetch_sub(1);
         metrics_.add(statusCounterName(resp.status));
-        metrics_.observe("request_ms",
-                         static_cast<double>(nowMs() - enqueue_ms));
+        metrics_.observe("request_ms", msSince(enqueue_us));
         if (root.live())
             root.arg("status", resp.status);
 
@@ -950,7 +954,7 @@ Server::admitParked()
             continue;
         }
         if (mem_gate_.tryAdmit(parked.projected) &&
-            submitCompile(*it->second, parked.seq, parked.enqueue_ms,
+            submitCompile(*it->second, parked.seq, parked.enqueue_us,
                           parked.projected, std::move(parked.req),
                           /*counted=*/true, parked.park_start_us,
                           unpark_us)) {

@@ -282,7 +282,7 @@ class Server
     {
         uint64_t conn_id = 0;
         uint64_t seq = 0;
-        int64_t enqueue_ms = 0;   ///< original arrival time
+        int64_t enqueue_us = 0;   ///< original arrival time (steady)
         uint64_t projected = 0;   ///< projected peak footprint
         /** epochUs when parked (0 = span collection off). */
         int64_t park_start_us = 0;
@@ -309,11 +309,12 @@ class Server
      * @return false when the queue is full, after returning those
      * bytes to the gate. @p counted: the request already holds its
      * conn.inflight / jobs_inflight_ counts (parked re-admission).
+     * @p enqueue_us: the arrival time, steady-clock microseconds.
      * @p park_start_us/@p park_end_us: the memory-gate park window
      * (epochUs) a re-admitted request waited through, 0/0 when it
      * was never parked — recorded as a "mem-gate-park" span.
      */
-    bool submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_ms,
+    bool submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_us,
                        uint64_t projected, Request &&req,
                        bool counted, int64_t park_start_us = 0,
                        int64_t park_end_us = 0);

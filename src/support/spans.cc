@@ -280,8 +280,12 @@ writeChromeTraceFile(const std::string &path,
 
 namespace {
 /** Buffer cap: always-on tracing must stay bounded even when nobody
- * drains (a misconfigured daemon, the in-memory bench). */
+ * drains (a misconfigured daemon, the in-memory bench). The last
+ * kRootHeadroom slots take root spans only: a root closes after its
+ * children (a fuzz campaign after every cell), so without them a
+ * full buffer would always drop it. */
 constexpr size_t kMaxBufferedSpans = 65536;
+constexpr size_t kRootHeadroom = 64;
 } // namespace
 
 SpanCollector &
@@ -349,7 +353,9 @@ SpanCollector::record(TraceSpan s)
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (spans_.size() >= kMaxBufferedSpans) {
+    const size_t cap = s.parent == 0 ? kMaxBufferedSpans
+                                     : kMaxBufferedSpans - kRootHeadroom;
+    if (spans_.size() >= cap) {
         ++dropped_;
         return;
     }

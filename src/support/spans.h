@@ -209,7 +209,8 @@ class SpanCollector
     void setService(std::string service);
     std::string service() const;
 
-    /** Append @p s (dropped beyond the buffer cap). */
+    /** Append @p s (dropped beyond the buffer cap, which keeps its
+     * last slots for root spans). */
     void record(TraceSpan s);
 
     /** @return a copy of the buffered spans, in record order. */

@@ -8,10 +8,16 @@
  * branch to every op homed strictly below its block (found here by
  * plain reachability over the region tree), with the same back-edge
  * floor pass. Edge lists must hold one edge per (other end,
- * slot_ordered) and the succ and pred lists must mirror each other.
+ * slot_ordered).
  * Inputs: examples/ and the frozen golden inputs under every region
  * scheme at 4U and 8U, plus tree with materialized PBRs (the extra
  * dependence edges).
+ *
+ * Priority and placement: sortByPriority's counting passes must give
+ * exactly the order of the comparator they replaced, kept here as the
+ * oracle, on every region of the same inputs and on hand-built keys;
+ * placed ops must come out in strictly ascending (cycle, slot) order,
+ * with and without dominator parallelism.
  *
  * Liveness: the dense pass is compared bit for bit with the original
  * hash-map round-robin fixpoint, kept here as the oracle, on the SPEC
@@ -20,6 +26,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -31,6 +38,7 @@
 
 #include "analysis/liveness.h"
 #include "bitvector.h"
+#include "ir/builder.h"
 #include "ir/parser.h"
 #include "region/formation.h"
 #include "sched/ddg.h"
@@ -38,6 +46,8 @@
 #include "sched/list_scheduler.h"
 #include "sched/lowering.h"
 #include "sched/pipeline.h"
+#include "sched/priority.h"
+#include "sched/region_index.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
 #include "workloads/synthetic.h"
@@ -72,6 +82,34 @@ formRegions(ir::Function &fn, const sched::PipelineOptions &options)
         return region::formHyperblocks(fn, options.hyperblock);
     }
     return {};
+}
+
+sched::LoweredRegion
+lowerFor(ir::Function &fn, const region::Region &r,
+         const analysis::Liveness &live,
+         const sched::PipelineOptions &options)
+{
+    if (r.kind() == region::RegionKind::Hyperblock)
+        return sched::lowerHyperblock(fn, r, live);
+    sched::LowerOptions lower;
+    lower.materialize_pbr = options.sched.materialize_pbr;
+    return sched::lowerRegion(fn, r, live, lower);
+}
+
+/** Every scheme at 4U and 8U. */
+std::vector<sched::PipelineOptions>
+schemeConfigs()
+{
+    std::vector<sched::PipelineOptions> configs;
+    for (const RegionScheme scheme : kSchemes) {
+        for (const int width : {4, 8}) {
+            sched::PipelineOptions options;
+            options.scheme = scheme;
+            options.model = sched::MachineModel::custom(width);
+            configs.push_back(options);
+        }
+    }
+    return configs;
 }
 
 // ---------------------------------------------------------------
@@ -175,7 +213,7 @@ checkDdg(const sched::LoweredRegion &lowered, const std::string &where)
     auto key = [](const sched::DdgEdge &e) {
         return 2 * size_t{e.other} + (e.slot_ordered ? 1 : 0);
     };
-    size_t succ_total = 0, pred_total = 0;
+    size_t succ_total = 0;
     for (size_t i = 0; i < n; ++i) {
         std::vector<size_t> keys;
         for (const sched::DdgEdge &e : ddg.succs(i))
@@ -184,31 +222,8 @@ checkDdg(const sched::LoweredRegion &lowered, const std::string &where)
         EXPECT_TRUE(std::adjacent_find(keys.begin(), keys.end()) ==
                     keys.end())
             << where << ": duplicate succ edge of node " << i;
-        keys.clear();
-        for (const sched::DdgEdge &e : ddg.preds(i))
-            keys.push_back(key(e));
-        std::sort(keys.begin(), keys.end());
-        EXPECT_TRUE(std::adjacent_find(keys.begin(), keys.end()) ==
-                    keys.end())
-            << where << ": duplicate pred edge of node " << i;
-
-        // Mirror: every succ edge i->j appears once in preds(j) with
-        // the same latency and slot ordering.
-        for (const sched::DdgEdge &e : ddg.succs(i)) {
-            size_t found = 0;
-            for (const sched::DdgEdge &p : ddg.preds(e.other)) {
-                if (p.other == i && p.slot_ordered == e.slot_ordered &&
-                    p.latency == e.latency)
-                    ++found;
-            }
-            EXPECT_EQ(found, 1u)
-                << where << ": edge " << i << "->" << e.other
-                << " not mirrored";
-        }
         succ_total += ddg.succs(i).size();
-        pred_total += ddg.preds(i).size();
     }
-    EXPECT_EQ(succ_total, pred_total) << where;
 
     const std::vector<int> expected = referenceHeights(lowered, ddg);
     for (size_t i = 0; i < n; ++i) {
@@ -261,15 +276,7 @@ TEST(DdgReference, HeightsEdgesAndMirrorsMatchBruteForce)
     size_t regions = 0, edges = 0;
     for (const auto &mod : mods) {
         for (const auto &src : mod->functions()) {
-            std::vector<sched::PipelineOptions> configs;
-            for (const RegionScheme scheme : kSchemes) {
-                for (const int width : {4, 8}) {
-                    sched::PipelineOptions options;
-                    options.scheme = scheme;
-                    options.model = sched::MachineModel::custom(width);
-                    configs.push_back(options);
-                }
-            }
+            std::vector<sched::PipelineOptions> configs = schemeConfigs();
             sched::PipelineOptions pbr;
             pbr.sched.materialize_pbr = true;
             configs.push_back(pbr);
@@ -282,15 +289,8 @@ TEST(DdgReference, HeightsEdgesAndMirrorsMatchBruteForce)
                 const region::RegionSet set = formRegions(fn, options);
                 const analysis::Liveness live(fn);
                 for (const region::Region &r : set.regions()) {
-                    sched::LoweredRegion lowered;
-                    if (r.kind() == region::RegionKind::Hyperblock) {
-                        lowered = sched::lowerHyperblock(fn, r, live);
-                    } else {
-                        sched::LowerOptions lower;
-                        lower.materialize_pbr =
-                            options.sched.materialize_pbr;
-                        lowered = sched::lowerRegion(fn, r, live, lower);
-                    }
+                    sched::LoweredRegion lowered =
+                        lowerFor(fn, r, live, options);
                     edges += checkDdg(lowered, where + " @" +
                                                    std::to_string(r.root()));
                     ++regions;
@@ -305,6 +305,249 @@ TEST(DdgReference, HeightsEdgesAndMirrorsMatchBruteForce)
     }
     EXPECT_GT(regions, 1000u);
     EXPECT_GT(edges, 10000u);
+}
+
+// ---------------------------------------------------------------
+// Priority order and placement
+// ---------------------------------------------------------------
+
+/** The comparator sortByPriority's counting passes replaced: keys
+ * descending under @p heuristic, ties in lowering order. */
+std::vector<uint32_t>
+comparatorOrder(const sched::PriorityKeys *keys, size_t n,
+                sched::Heuristic heuristic)
+{
+    using sched::Heuristic;
+    auto cmp = [&](uint32_t a, uint32_t b) {
+        const sched::PriorityKeys &ka = keys[a];
+        const sched::PriorityKeys &kb = keys[b];
+        switch (heuristic) {
+          case Heuristic::DependenceHeight:
+            if (ka.height != kb.height)
+                return ka.height > kb.height;
+            break;
+          case Heuristic::ExitCount:
+            if (ka.exit_count != kb.exit_count)
+                return ka.exit_count > kb.exit_count;
+            if (ka.height != kb.height)
+                return ka.height > kb.height;
+            break;
+          case Heuristic::GlobalWeight:
+            if (ka.weight != kb.weight)
+                return ka.weight > kb.weight;
+            if (ka.height != kb.height)
+                return ka.height > kb.height;
+            break;
+          case Heuristic::WeightedCount:
+            if (ka.weight != kb.weight)
+                return ka.weight > kb.weight;
+            if (ka.exit_count != kb.exit_count)
+                return ka.exit_count > kb.exit_count;
+            if (ka.height != kb.height)
+                return ka.height > kb.height;
+            break;
+        }
+        return a < b;
+    };
+    std::vector<uint32_t> order(n);
+    for (size_t i = 0; i < n; ++i)
+        order[i] = static_cast<uint32_t>(i);
+    std::sort(order.begin(), order.end(), cmp);
+    return order;
+}
+
+/** sortByPriority matches the comparator under every heuristic. */
+void
+expectComparatorOrder(const sched::PriorityKeys *keys, size_t n,
+                      const std::string &where)
+{
+    for (const sched::Heuristic h : sched::kAllHeuristics) {
+        support::Arena arena;
+        const uint32_t *order = sched::sortByPriority(keys, n, h, arena);
+        EXPECT_EQ(std::vector<uint32_t>(order, order + n),
+                  comparatorOrder(keys, n, h))
+            << where << " " << sched::heuristicName(h);
+    }
+}
+
+TEST(PriorityReference, CountingPassesMatchTheComparatorOnTheCorpus)
+{
+    const auto mods = referencePrograms();
+    size_t regions = 0;
+    for (const auto &mod : mods) {
+        for (const auto &src : mod->functions()) {
+            for (const sched::PipelineOptions &options : schemeConfigs()) {
+                const std::string where =
+                    src->name() + " " +
+                    sched::encodePipelineOptions(options);
+                ir::Function fn = src->clone();
+                const region::RegionSet set = formRegions(fn, options);
+                const analysis::Liveness live(fn);
+                for (const region::Region &r : set.regions()) {
+                    const sched::LoweredRegion lowered =
+                        lowerFor(fn, r, live, options);
+                    support::Arena arena;
+                    const sched::RegionIndex index(lowered, arena);
+                    const sched::Ddg ddg(lowered, index, arena);
+                    const sched::PriorityKeys *keys =
+                        sched::computePriorityKeys(fn, lowered, index,
+                                                   ddg, arena);
+                    expectComparatorOrder(
+                        keys, lowered.ops.size(),
+                        where + " @" + std::to_string(r.root()));
+                    ++regions;
+                }
+            }
+        }
+    }
+    EXPECT_GT(regions, 1000u);
+}
+
+TEST(PriorityReference, HandBuiltKeysMatchTheComparator)
+{
+    // Dense weight ranks by brute force: the number of distinct
+    // weights above each one (0.0 == -0.0, as the comparator sees).
+    auto rank = [](std::vector<sched::PriorityKeys> &keys) {
+        for (sched::PriorityKeys &k : keys) {
+            std::vector<double> above;
+            for (const sched::PriorityKeys &o : keys) {
+                if (o.weight > k.weight &&
+                    std::find(above.begin(), above.end(), o.weight) ==
+                        above.end())
+                    above.push_back(o.weight);
+            }
+            k.weight_rank = static_cast<uint32_t>(above.size());
+        }
+    };
+
+    // Ties on every key, across more than one bitset word.
+    std::vector<sched::PriorityKeys> tied(130, {4, 2, 1.5, 0});
+    expectComparatorOrder(tied.data(), tied.size(), "all tied");
+
+    // Few distinct values per key, so each tie-break level decides
+    // some pairs; equal weights stand for different blocks, and 0.0
+    // meets -0.0.
+    const double weights[] = {0.0, -0.0, 3.0, 3.0, 0.25};
+    std::vector<sched::PriorityKeys> mixed;
+    for (uint32_t i = 0; i < 200; ++i) {
+        const uint32_t h = i * 2654435761u;
+        mixed.push_back({static_cast<int>(h >> 29), (h >> 7) % 3,
+                         weights[(h >> 13) % 5], 0});
+    }
+    rank(mixed);
+    expectComparatorOrder(mixed.data(), mixed.size(), "mixed");
+
+    std::vector<sched::PriorityKeys> signed_zero = {
+        {1, 0, -0.0, 0}, {1, 0, 0.0, 0}, {2, 0, 0.0, 0},
+        {1, 0, -0.0, 0}};
+    expectComparatorOrder(signed_zero.data(), signed_zero.size(),
+                          "signed zero");
+    expectComparatorOrder(nullptr, 0, "empty");
+}
+
+TEST(PriorityReference, EqualBlockWeightsShareARank)
+{
+    // a (1.0) -> b (2.0) | c (2.0); b -> d (0.0) | e (-0.0): one
+    // treegion whose blocks tie in pairs.
+    ir::Function fn("f");
+    ir::Builder bu(fn);
+    const BlockId a = bu.newBlock(), b = bu.newBlock(),
+                  c = bu.newBlock(), d = bu.newBlock(),
+                  e = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    const ir::Reg x = bu.movi(5);
+    bu.condBr(ir::CmpKind::LT, ir::Builder::R(x), ir::Builder::I(9), b,
+              c);
+    bu.setInsertPoint(b);
+    const ir::Reg y = bu.binary(ir::Opcode::ADD, ir::Builder::R(x),
+                                ir::Builder::I(1));
+    bu.condBr(ir::CmpKind::GT, ir::Builder::R(y), ir::Builder::I(3), d,
+              e);
+    for (const BlockId leaf : {c, d, e}) {
+        bu.setInsertPoint(leaf);
+        bu.ret(ir::Builder::R(bu.binary(ir::Opcode::MUL,
+                                        ir::Builder::R(x),
+                                        ir::Builder::I(leaf))));
+    }
+    const std::pair<BlockId, double> weight_of[] = {
+        {a, 1.0}, {b, 2.0}, {c, 2.0}, {d, 0.0}, {e, -0.0}};
+    for (const auto &[id, w] : weight_of)
+        fn.block(id).setWeight(w);
+
+    const region::RegionSet set = region::formTreegions(fn);
+    ASSERT_EQ(set.regions().size(), 1u);
+    const analysis::Liveness live(fn);
+    const sched::LoweredRegion lowered =
+        sched::lowerRegion(fn, set.regions()[0], live);
+    support::Arena arena;
+    const sched::RegionIndex index(lowered, arena);
+    const sched::Ddg ddg(lowered, index, arena);
+    const sched::PriorityKeys *keys =
+        sched::computePriorityKeys(fn, lowered, index, ddg, arena);
+    std::unordered_map<BlockId, uint32_t> rank;
+    for (size_t i = 0; i < lowered.ops.size(); ++i) {
+        const auto [it, fresh] =
+            rank.emplace(lowered.ops[i].home, keys[i].weight_rank);
+        EXPECT_EQ(it->second, keys[i].weight_rank) << "op " << i;
+    }
+    ASSERT_EQ(rank.size(), 5u);
+    EXPECT_EQ(rank[b], 0u);
+    EXPECT_EQ(rank[c], 0u);
+    EXPECT_EQ(rank[a], 1u);
+    EXPECT_EQ(rank[d], 2u);
+    EXPECT_EQ(rank[e], 2u);
+    expectComparatorOrder(keys, lowered.ops.size(), "hand-built");
+
+    // Unprofiled text may carry NaN weights, which no comparator
+    // orders: they rank last, level with each other.
+    fn.block(a).setWeight(std::nan(""));
+    fn.block(d).setWeight(std::nan(""));
+    const std::unordered_map<BlockId, uint32_t> nan_rank = {
+        {b, 0}, {c, 0}, {e, 1}, {a, 2}, {d, 2}};
+    const sched::PriorityKeys *nan_keys =
+        sched::computePriorityKeys(fn, lowered, index, ddg, arena);
+    for (size_t i = 0; i < lowered.ops.size(); ++i) {
+        EXPECT_EQ(nan_keys[i].weight_rank,
+                  nan_rank.at(lowered.ops[i].home))
+            << "op " << i;
+    }
+}
+
+TEST(PlacementReference, OpsAscendInCycleAndSlot)
+{
+    const auto mods = referencePrograms();
+    size_t regions = 0;
+    for (const auto &mod : mods) {
+        for (const auto &src : mod->functions()) {
+            for (sched::PipelineOptions options : schemeConfigs()) {
+                for (const bool elide : {true, false}) {
+                    options.sched.dominator_parallelism = elide;
+                    const std::string where =
+                        src->name() + " " +
+                        sched::encodePipelineOptions(options);
+                    ir::Function fn = src->clone();
+                    const sched::PipelineResult result =
+                        sched::runPipeline(fn, options);
+                    for (const auto &[root, rs] :
+                         result.schedule.regions) {
+                        ASSERT_FALSE(rs.ops.empty()) << where;
+                        for (size_t k = 1; k < rs.ops.size(); ++k) {
+                            const sched::ScheduledOp &p = rs.ops[k - 1];
+                            const sched::ScheduledOp &q = rs.ops[k];
+                            EXPECT_LT(std::make_pair(p.cycle, p.slot),
+                                      std::make_pair(q.cycle, q.slot))
+                                << where << " @" << root << " op " << k;
+                        }
+                        EXPECT_EQ(rs.length, rs.ops.back().cycle + 1)
+                            << where << " @" << root;
+                        ++regions;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(regions, 2000u);
 }
 
 // ---------------------------------------------------------------

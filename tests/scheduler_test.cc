@@ -16,6 +16,7 @@
 #include "sched/perf_model.h"
 #include "sched/pipeline.h"
 #include "sched/schedule_verifier.h"
+#include "vliw/equivalence.h"
 #include "workloads/profiler.h"
 #include "workloads/synthetic.h"
 
@@ -201,6 +202,94 @@ TEST(Scheduler, DominatorParallelismElidesDuplicates)
     EXPECT_EQ(r2.total_sched_stats.elided_ops, 0u);
     // Elision can only help (fewer slots consumed).
     EXPECT_LE(r1.estimated_time, r2.estimated_time + 1e-9);
+}
+
+TEST(Scheduler, SlotOrderedStoreAndLoadShareACycle)
+{
+    // The load may issue in the store's cycle, at a later slot.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    const Reg base = bu.movi(0);
+    bu.store(base, 2, Builder::I(7));
+    bu.ret(Builder::R(bu.load(base, 2)));
+
+    PipelineOptions options;
+    options.scheme = RegionScheme::BasicBlock;
+    options.model = MachineModel::wide4U();
+    const auto result = runPipeline(fn, options);
+    EXPECT_TRUE(verifyFunctionSchedule(result.schedule, 4).empty());
+    const RegionSchedule &rs = result.schedule.regions.at(a);
+    const ScheduledOp *store = nullptr, *load = nullptr;
+    for (const ScheduledOp &sop : rs.ops) {
+        if (sop.op.isStore())
+            store = &sop;
+        else if (sop.op.isLoad())
+            load = &sop;
+    }
+    ASSERT_TRUE(store && load);
+    EXPECT_EQ(store->cycle, 1);
+    EXPECT_EQ(load->cycle, store->cycle);
+    EXPECT_LT(store->slot, load->slot);
+}
+
+TEST(Scheduler, ElisionTwinMustFollowSlotOrderedPreds)
+{
+    // a branches to b or c, both joining a tail that loads [base+2];
+    // tail duplication gives each path its own copy of the load. On
+    // c's path the copy issues in cycle 1. On b's path a store to
+    // [base+2] comes first, from a value ready in cycle 4, so b's copy
+    // may not alias the earlier load: its twin would precede one of
+    // its slot-ordered predecessors.
+    for (const bool store_in_b : {true, false}) {
+        Function fn("f");
+        Builder bu(fn);
+        const BlockId a = bu.newBlock();
+        const BlockId b = bu.newBlock();
+        const BlockId c = bu.newBlock();
+        const BlockId tail = bu.newBlock();
+        fn.setEntry(a);
+        bu.setInsertPoint(a);
+        const Reg base = bu.movi(0);
+        const Reg x = bu.load(base, 1);
+        bu.condBr(CmpKind::LT, Builder::R(x), Builder::I(50), b, c);
+        bu.setInsertPoint(b);
+        const Reg w = bu.binary(Opcode::ADD, Builder::R(x), Builder::I(5));
+        if (store_in_b)
+            bu.store(base, 2, Builder::R(w));
+        bu.bru(tail);
+        bu.setInsertPoint(c);
+        bu.bru(tail);
+        bu.setInsertPoint(tail);
+        bu.ret(Builder::R(bu.load(base, 2)));
+        fn.forEachBlockMut([](ir::BasicBlock &blk) {
+            blk.setWeight(2.0);
+            blk.edgeWeights().assign(
+                blk.successors().size(),
+                2.0 / std::max<size_t>(1, blk.successors().size()));
+        });
+
+        PipelineOptions options;
+        options.scheme = RegionScheme::TreegionTailDup;
+        options.model = MachineModel::wide8U();
+        ir::Function original = fn.clone();
+        const auto result = runPipeline(fn, options);
+        const RegionSchedule &rs = result.schedule.regions.at(a);
+        size_t loads = 0;
+        for (const ScheduledOp &sop : rs.ops)
+            loads += sop.op.isLoad();
+        EXPECT_EQ(rs.stats.elided_ops, store_in_b ? 0u : 1u);
+        EXPECT_EQ(loads, store_in_b ? 3u : 2u);
+
+        // x = 0 takes b's path, which must read the stored 5, not 99.
+        std::vector<int64_t> memory(workloads::kMinInputMemWords, 0);
+        memory[2] = 99;
+        const vliw::EquivalenceReport report = vliw::checkEquivalence(
+            original, fn, result.schedule, memory);
+        EXPECT_TRUE(report.ok) << report.detail;
+    }
 }
 
 TEST(Scheduler, HeuristicsProduceDifferentSchedules)

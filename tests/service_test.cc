@@ -943,6 +943,27 @@ TEST_F(ServiceEndToEnd, DeadlineExpiredInQueueIsCancelled)
     EXPECT_EQ(callOnce(req).status, status::kOk);
 }
 
+TEST_F(ServiceEndToEnd, QueueWaitIsMeasuredInMicroseconds)
+{
+    // On an idle server a compile waits microseconds for a worker,
+    // which whole-millisecond stamps would read as 0.
+    startServer({});
+    ASSERT_EQ(callOnce(compileRequest()).status, status::kOk);
+    const auto idle = server_->metrics().histogram("queue_wait_ms");
+    ASSERT_EQ(idle.count(), 1u);
+    EXPECT_GT(idle.min(), 0.0);
+
+    // A debug delay is spent in the queue, so the wait covers it.
+    server_->requestStop();
+    server_->waitUntilStopped();
+    ::unlink(socketPath().c_str());
+    ServerOptions delayed;
+    delayed.debug_queue_delay_ms = 20;
+    startServer(std::move(delayed));
+    ASSERT_EQ(callOnce(compileRequest()).status, status::kOk);
+    EXPECT_GE(server_->metrics().histogram("queue_wait_ms").min(), 20.0);
+}
+
 TEST_F(ServiceEndToEnd, SaturatedQueueRejectsWithRetryAfter)
 {
     ServerOptions options;

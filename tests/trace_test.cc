@@ -89,6 +89,33 @@ TEST_F(TraceTest, ParallelScopesAllLand)
     EXPECT_EQ(SpanCollector::instance().size(), 64u);
 }
 
+TEST_F(TraceTest, RootSpanLandsInAFullBuffer)
+{
+    SpanCollector &collector = SpanCollector::instance();
+    collector.configure(1.0);
+    TraceSpan child;
+    child.parent = 1;
+    child.name = "cell";
+    while (collector.dropped() == 0)
+        collector.record(child);
+    const size_t full = collector.size();
+
+    // The root closes last, after its children filled the buffer.
+    TraceSpan root;
+    root.name = "campaign";
+    collector.record(root);
+    EXPECT_EQ(collector.size(), full + 1);
+    EXPECT_EQ(collector.snapshot().back().name, "campaign");
+
+    // The headroom takes roots only, and it is bounded too.
+    collector.record(child);
+    EXPECT_EQ(collector.dropped(), 2u);
+    while (collector.dropped() == 2)
+        collector.record(root);
+    EXPECT_EQ(collector.size(), 65536u);
+    EXPECT_GT(full, 60000u);
+}
+
 TEST_F(TraceTest, JsonEscape)
 {
     EXPECT_EQ(jsonEscape("plain"), "plain");
