@@ -57,7 +57,7 @@ main(int argc, char **argv)
             ++checked;
             if (report.ok) {
                 ++ok;
-                total_cycles += report.vliw_cycles;
+                total_cycles += report.vliw.cycles;
             } else {
                 std::printf("  !! input %llu: %s\n",
                             static_cast<unsigned long long>(input),

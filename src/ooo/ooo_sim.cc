@@ -1,9 +1,9 @@
 #include "ooo/ooo_sim.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <bit>
 
+#include "support/inline_vector.h"
 #include "support/logging.h"
 #include "vliw/machine_state.h"
 #include "vliw/op_semantics.h"
@@ -95,6 +95,7 @@ struct PhysFile
     init(uint32_t arch_count, int headroom)
     {
         regs.assign(arch_count + static_cast<uint32_t>(headroom), {});
+        free.reserve(regs.size());
         map.resize(arch_count);
         for (uint32_t i = 0; i < arch_count; ++i)
             map[i] = i;
@@ -120,17 +121,16 @@ struct SrcMap
     PhysId phys;
 };
 
-/** One reorder-buffer entry. */
+/** One reorder-buffer entry, reused in place as the ring wraps. */
 struct RobEntry
 {
     const ScheduledOp *sop = nullptr;
-    size_t op_index = 0;  ///< index into RegionSchedule::ops
-    uint32_t row = 0;     ///< schedule row (cycle) within the region
+    uint32_t op_index = 0;  ///< index into RegionSchedule::ops
+    uint32_t row = 0;       ///< schedule row (cycle) within the region
 
-    std::vector<Rename> renames;
-    std::vector<SrcMap> src_map;
+    support::InlineVector<Rename, ir::kMaxDsts> renames;
+    support::InlineVector<SrcMap, ir::kMaxSrcs + 1> src_map;  ///< + guard
 
-    bool issued = false;
     bool completed = false;
     bool mem_done = false;  ///< memory effect performed (LD/ST)
     uint64_t complete_cycle = 0;
@@ -140,38 +140,6 @@ struct RobEntry
     const ScheduledExit *exit = nullptr;  ///< non-null when the branch
                                           ///< fires a region exit
 };
-
-/** Per-region fetch stream plus exit lookup, precomputed. */
-struct RegionStream
-{
-    const RegionSchedule *rs = nullptr;
-    /** exits by (op index in RegionSchedule::ops). */
-    std::unordered_map<size_t, std::vector<const ScheduledExit *>> exits;
-};
-
-/**
- * Map a fired branch to its exit record, or nullptr for an MWBR case
- * edge that falls through internally (target == kNoBlock). Mirrors
- * the in-order simulator's resolution exactly.
- */
-const ScheduledExit *
-resolveExit(const RegionStream &stream, size_t op_index, const Op &op,
-            size_t slot)
-{
-    auto eit = stream.exits.find(op_index);
-    if (op.opcode == Opcode::MWBR) {
-        if (op.targets[slot] == ir::kNoBlock)
-            return nullptr;  // internal fall-through case edge
-        TG_ASSERT(eit != stream.exits.end());
-        for (const ScheduledExit *cand : eit->second) {
-            if (cand->target_slot == slot)
-                return cand;
-        }
-        TG_PANIC("MWBR slot %zu has no exit record", slot);
-    }
-    TG_ASSERT(eit != stream.exits.end());
-    return eit->second.front();
-}
 
 /**
  * Whether @p op's destination writes are conditional, making the
@@ -225,44 +193,41 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
         return r.cls == RegClass::Pred ? (value ? 1 : 0) : value;
     };
 
-    // Precompute fetch streams. RegionSchedule::ops is already sorted
-    // by (cycle, slot) — exactly fetch order.
-    std::unordered_map<BlockId, RegionStream> streams;
-    for (const auto &[root, rs] : sched.regions) {
-        RegionStream &stream = streams[root];
-        stream.rs = &rs;
-        for (const ScheduledExit &exit : rs.exits)
-            stream.exits[exit.op_index].push_back(&exit);
-    }
-
+    // Fetch streams: each region's ops in (cycle, slot) order.
+    const vliw::ScheduleTable table(sched);
     BlockId cur = sched.entry;
-    const RegionStream *stream = nullptr;
-    size_t fetch_pos = 0;
+    const vliw::ScheduleTable::Region *region = nullptr;
+    uint32_t fetch_pos = 0;
+    uint32_t fetch_end = 0;  ///< the exit row's end while one drains
 
     auto enterRegion = [&](BlockId root) {
-        auto it = streams.find(root);
-        if (it == streams.end())
-            TG_PANIC("no region schedule rooted at bb%u", root);
+        region = &table.region(root);
         cur = root;
-        stream = &it->second;
         fetch_pos = 0;
+        fetch_end = static_cast<uint32_t>(region->rs->ops.size());
         arch.trace.push_back(root);
         ++arch.regions_executed;
     };
     enterRegion(cur);
 
-    std::deque<RobEntry> rob;
-    uint64_t head_seq = 0;  ///< sequence number of rob.front()
-    std::vector<uint64_t> iq;  ///< dispatched, unissued (age order)
-
+    // The ROB is a ring reused in place, its size rounded up to a
+    // power of two: [head_seq, tail_seq) are in flight, at most
+    // rob_size of them.
+    std::vector<RobEntry> rob(
+        std::bit_ceil(static_cast<size_t>(config.rob_size)));
+    uint64_t head_seq = 0, tail_seq = 0;
     auto entryAt = [&](uint64_t seq) -> RobEntry & {
-        return rob[static_cast<size_t>(seq - head_seq)];
+        return rob[seq & (rob.size() - 1)];
     };
+    std::vector<uint64_t> iq;  ///< dispatched, unissued (age order)
+    iq.reserve(static_cast<size_t>(config.window_size));
+    std::vector<uint64_t> executing;  ///< issued, not completed
+    executing.reserve(rob.size());
+    vliw::sem::CopyScratch copy_scratch;
 
     struct Exiting
     {
         bool active = false;
-        uint32_t row = 0;
         const ScheduledExit *exit = nullptr;
         int64_t ret_value = 0;
     } exiting;
@@ -271,8 +236,8 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
     // restore the rename map youngest-first, refill the free lists,
     // drop the entries from the window.
     auto squashYoungerThan = [&](uint64_t keep_end) {
-        while (head_seq + rob.size() > keep_end) {
-            RobEntry &e = rob.back();
+        while (tail_seq > keep_end) {
+            const RobEntry &e = entryAt(--tail_seq);
             TG_ASSERT(!(e.sop->op.isStore() && e.mem_done) &&
                       "squashed a store that wrote memory");
             for (auto it = e.renames.rbegin(); it != e.renames.rend();
@@ -282,58 +247,58 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
                 f.free.push_back(it->phys);
             }
             ++stats.squashed;
-            rob.pop_back();
         }
-        std::erase_if(iq,
-                      [&](uint64_t seq) { return seq >= keep_end; });
+        auto squashed = [&](uint64_t seq) { return seq >= keep_end; };
+        std::erase_if(iq, squashed);
+        std::erase_if(executing, squashed);
     };
 
     for (;;) {
         if (arch.cycles >= config.limits.max_cycles) {
             // Budget exhausted: halt with completed = false (never
             // abort) so campaigns can't hang on either backend.
-            arch.memory = mem_state.memory();
+            arch.memory = mem_state.takeMemory();
             return result;
         }
         ++arch.cycles;
 
         // ---- Completion: results finishing now become readable
         // (tag broadcast; wakeup is the ready-bit check at select).
-        for (RobEntry &e : rob) {
-            if (e.issued && !e.completed &&
-                e.complete_cycle <= arch.cycles) {
-                e.completed = true;
-                for (const Rename &r : e.renames)
-                    file(r.arch.cls).regs[r.phys].ready = true;
-            }
-        }
+        std::erase_if(executing, [&](uint64_t seq) {
+            RobEntry &e = entryAt(seq);
+            if (e.complete_cycle > arch.cycles)
+                return false;
+            e.completed = true;
+            for (const Rename &r : e.renames)
+                file(r.arch.cls).regs[r.phys].ready = true;
+            return true;
+        });
 
         // ---- Retire: in order, up to retire_width.
         int retired_now = 0;
-        while (retired_now < config.retire_width && !rob.empty() &&
-               rob.front().completed) {
-            RobEntry &e = rob.front();
+        while (retired_now < config.retire_width && head_seq < tail_seq &&
+               entryAt(head_seq).completed) {
+            const RobEntry &e = entryAt(head_seq);
             if (e.exit != nullptr) {
                 TG_ASSERT(!exiting.active &&
                           "two exits fired in one cycle");
                 exiting.active = true;
-                exiting.row = e.row;
                 exiting.exit = e.exit;
                 exiting.ret_value = e.outcome.ret_value;
                 // Ops beyond the exit row were fetched down a dead
                 // path; the exit row itself retires in full (MultiOp
-                // rows execute whole).
+                // rows execute whole), so fetch stops at its end.
                 uint64_t keep_end = head_seq + 1;
-                while (keep_end - head_seq < rob.size() &&
+                while (keep_end < tail_seq &&
                        entryAt(keep_end).row <= e.row)
                     ++keep_end;
                 squashYoungerThan(keep_end);
+                fetch_end = table.rowEnd(*region, e.row);
             }
             for (const Rename &r : e.renames)
                 file(r.arch.cls).free.push_back(r.prev);
             ++stats.retired;
             ++arch.ops_executed;
-            rob.pop_front();
             ++head_seq;
             ++retired_now;
         }
@@ -342,15 +307,9 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
         // the architectural model): any of its ops the front-end had
         // not fetched when the branch retired must still be fetched,
         // executed and retired before the region boundary.
-        auto exitRowUnfetched = [&]() {
-            return fetch_pos < stream->rs->ops.size() &&
-                   static_cast<uint32_t>(
-                       stream->rs->ops[fetch_pos].cycle) <=
-                       exiting.row;
-        };
-
         bool redirected = false;
-        if (exiting.active && rob.empty() && !exitRowUnfetched()) {
+        if (exiting.active && head_seq == tail_seq &&
+            fetch_pos >= fetch_end) {
             // Region boundary: reconciliation copies are one parallel
             // MultiOp (read all, then write all).
             arch.copies_applied += vliw::sem::applyExitCopies(
@@ -367,11 +326,12 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
                         return;
                     file(r.cls).regs[file(r.cls).map[r.idx]].value =
                         clamp(r, value);
-                });
+                },
+                copy_scratch);
             if (exiting.exit->is_ret) {
                 arch.completed = true;
                 arch.ret_value = exiting.ret_value;
-                arch.memory = mem_state.memory();
+                arch.memory = mem_state.takeMemory();
                 return result;
             }
             const BlockId target = exiting.exit->target;
@@ -383,8 +343,8 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
         // A drained machine with nothing left to fetch and no exit in
         // flight means the region ran off its end — a scheduler bug,
         // same panic as the in-order engine.
-        if (rob.empty() && !exiting.active && !redirected &&
-            fetch_pos >= stream->rs->ops.size())
+        if (head_seq == tail_seq && !exiting.active && !redirected &&
+            fetch_pos >= fetch_end)
             TG_PANIC("region bb%u fell through without an exit", cur);
 
         // ---- Select/execute: issue ready ops oldest-first.
@@ -457,11 +417,11 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
                     TG_PANIC("MWBR selector matches no case");
                 e.resolved = true;
                 if (e.outcome.kind == BranchOutcome::Kind::kFire) {
-                    e.exit = resolveExit(*stream, e.op_index, op,
-                                         e.outcome.slot);
+                    e.exit = table.resolveExit(*region, e.op_index, op,
+                                               e.outcome.slot);
                 }
             } else {
-                std::vector<bool> wrote(e.renames.size(), false);
+                bool wrote[ir::kMaxDsts] = {};
                 vliw::sem::execDataOp(
                     op, read, mem_state,
                     [&](ir::Reg dst, int64_t value, int delay) {
@@ -491,72 +451,65 @@ runOutOfOrder(ir::Function &fn, const sched::FunctionSchedule &sched,
                 if (op.isMemory())
                     e.mem_done = true;
             }
-            e.issued = true;
             e.complete_cycle =
                 arch.cycles + static_cast<uint64_t>(max_delay);
+            executing.push_back(*it);
             ++issued_now;
             it = iq.erase(it);
         }
 
         // ---- Fetch/rename/dispatch: in (row, slot) order. While an
         // exit drains, only the remainder of its row may be fetched.
-        if (!redirected && (!exiting.active || exitRowUnfetched())) {
-            int fetched = 0;
-            while (fetched < config.fetch_width &&
-                   fetch_pos < stream->rs->ops.size()) {
-                const ScheduledOp &sop = stream->rs->ops[fetch_pos];
-                const Op &op = sop.op;
-                if (exiting.active &&
-                    static_cast<uint32_t>(sop.cycle) > exiting.row)
-                    break;  // past the exit row; dead path
+        int fetched = 0;
+        while (!redirected && fetched < config.fetch_width &&
+               fetch_pos < fetch_end) {
+            const uint32_t op_index = table.opAt(*region, fetch_pos);
+            const ScheduledOp &sop = region->rs->ops[op_index];
+            const Op &op = sop.op;
 
-                size_t need_gprs = 0;
-                size_t need_preds = 0;
-                for (ir::Reg dst : op.dsts) {
-                    if (dst.cls == RegClass::Gpr)
-                        ++need_gprs;
-                    else if (dst.cls == RegClass::Pred)
-                        ++need_preds;
-                }
-                if (rob.size() >=
-                        static_cast<size_t>(config.rob_size) ||
-                    iq.size() >=
-                        static_cast<size_t>(config.window_size) ||
-                    gprs.free.size() < need_gprs ||
-                    preds.free.size() < need_preds) {
-                    ++stats.rename_stalls;
-                    break;
-                }
-
-                RobEntry e;
-                e.sop = &sop;
-                e.op_index = fetch_pos;
-                e.row = static_cast<uint32_t>(sop.cycle);
-                op.forEachUsedReg([&](ir::Reg r) {
-                    if (r.cls == RegClass::Btr)
-                        return;
-                    e.src_map.push_back(
-                        {r, file(r.cls).map[r.idx]});
-                });
-                for (ir::Reg dst : op.dsts) {
-                    if (dst.cls == RegClass::Btr)
-                        continue;  // BTRs carry no semantics
-                    PhysFile &f = file(dst.cls);
-                    const PhysId phys = f.free.back();
-                    f.free.pop_back();
-                    f.regs[phys] = {0, false};
-                    e.renames.push_back({dst, phys, f.map[dst.idx]});
-                    f.map[dst.idx] = phys;
-                }
-                const uint64_t seq = head_seq + rob.size();
-                rob.push_back(std::move(e));
-                iq.push_back(seq);
-                ++fetch_pos;
-                ++fetched;
+            size_t need_gprs = 0;
+            size_t need_preds = 0;
+            for (ir::Reg dst : op.dsts) {
+                if (dst.cls == RegClass::Gpr)
+                    ++need_gprs;
+                else if (dst.cls == RegClass::Pred)
+                    ++need_preds;
             }
+            if (tail_seq - head_seq >=
+                    static_cast<uint64_t>(config.rob_size) ||
+                iq.size() >= static_cast<size_t>(config.window_size) ||
+                gprs.free.size() < need_gprs ||
+                preds.free.size() < need_preds) {
+                ++stats.rename_stalls;
+                break;
+            }
+
+            RobEntry &e = entryAt(tail_seq);
+            e = RobEntry{};
+            e.sop = &sop;
+            e.op_index = op_index;
+            e.row = static_cast<uint32_t>(sop.cycle);
+            op.forEachUsedReg([&](ir::Reg r) {
+                if (r.cls == RegClass::Btr)
+                    return;
+                e.src_map.push_back({r, file(r.cls).map[r.idx]});
+            });
+            for (ir::Reg dst : op.dsts) {
+                if (dst.cls == RegClass::Btr)
+                    continue;  // BTRs carry no semantics
+                PhysFile &f = file(dst.cls);
+                const PhysId phys = f.free.back();
+                f.free.pop_back();
+                f.regs[phys] = {0, false};
+                e.renames.push_back({dst, phys, f.map[dst.idx]});
+                f.map[dst.idx] = phys;
+            }
+            iq.push_back(tail_seq++);
+            ++fetch_pos;
+            ++fetched;
         }
 
-        stats.window_cycle_sum += rob.size();
+        stats.window_cycle_sum += tail_seq - head_seq;
     }
 }
 

@@ -44,14 +44,13 @@ checkEquivalence(ir::Function &original, ir::Function &transformed,
         return report;
     }
 
-    const VliwResult vliw =
-        runScheduled(transformed, schedule, memory);
+    report.vliw = runScheduled(transformed, schedule, memory);
+    const VliwResult &vliw = report.vliw;
     if (!vliw.completed) {
         report.incomplete = true;
         report.detail = "scheduled run hit its cycle limit";
         return report;
     }
-    report.vliw_cycles = vliw.cycles;
 
     if (vliw.ret_value != seq_orig.ret_value) {
         report.detail = strprintf(

@@ -34,7 +34,7 @@ struct EquivalenceReport
     bool incomplete = false;  ///< a limit was hit; nothing compared
     std::string detail;       ///< first mismatch, human-readable
     uint64_t seq_ops = 0;     ///< sequential ops executed
-    uint64_t vliw_cycles = 0; ///< scheduled cycles executed
+    VliwResult vliw;          ///< the scheduled run, once one was made
 };
 
 /**

@@ -15,7 +15,8 @@
  *    backend writes renamed physical registers.
  *  - evalBranch() decides whether a branch fires, which target slot
  *    it selects, and the RET value, without touching any schedule
- *    structures (exit lookup stays with each engine).
+ *    structures (the schedule engines share the exit lookup,
+ *    ScheduleTable::resolveExit in vliw_sim.h).
  *  - applyExitCopies() implements the parallel read-then-write
  *    reconciliation-copy semantics of a region exit.
  *
@@ -32,6 +33,8 @@
 #define TREEGION_VLIW_OP_SEMANTICS_H
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "ir/op.h"
 
@@ -216,6 +219,9 @@ evalBranch(const ir::Op &op, ReadReg &&read)
     return out;
 }
 
+/** Scratch space for applyExitCopies, owned and reused by the caller. */
+using CopyScratch = std::vector<std::pair<ir::Reg, int64_t>>;
+
 /**
  * Apply an exit's reconciliation copies: all sources are read first,
  * then all destinations written, so copies behave as one parallel
@@ -224,14 +230,15 @@ evalBranch(const ir::Op &op, ReadReg &&read)
  * @param copies the exit's ExitCopy-like list (members dst, src)
  * @param read register-read functor
  * @param write register-write functor: void(ir::Reg, int64_t)
+ * @param writes holds the values read between the two phases
  * @return the number of copies applied
  */
 template <typename Copies, typename ReadReg, typename WriteReg>
 inline size_t
-applyExitCopies(const Copies &copies, ReadReg &&read, WriteReg &&write)
+applyExitCopies(const Copies &copies, ReadReg &&read, WriteReg &&write,
+                CopyScratch &writes)
 {
-    std::vector<std::pair<ir::Reg, int64_t>> writes;
-    writes.reserve(copies.size());
+    writes.clear();
     for (const auto &copy : copies)
         writes.emplace_back(copy.dst, read(copy.src));
     for (const auto &[dst, value] : writes)

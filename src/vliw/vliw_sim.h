@@ -53,6 +53,62 @@ struct VliwResult
 using VliwOptions = SimLimits;
 
 /**
+ * A FunctionSchedule flattened for simulation, shared by this engine
+ * and the out-of-order backend: a dense root -> region index, each
+ * region's op indices in (cycle, slot) order with the position that
+ * ends each row, and each op's first exit record. A run builds one in
+ * a few allocations, without hashing (DESIGN.md §15).
+ */
+class ScheduleTable
+{
+  public:
+    /** One region: its schedule and where its ops and rows start. */
+    struct Region
+    {
+        const sched::RegionSchedule *rs;
+        uint32_t first_op;   ///< into order_ and first_exit_
+        uint32_t first_row;  ///< into row_end_
+    };
+
+    explicit ScheduleTable(const sched::FunctionSchedule &sched);
+
+    /** @return the region rooted at @p root; panics when none is. */
+    const Region &region(ir::BlockId root) const;
+
+    /** @return the index in r.rs->ops of the op at position @p pos
+     * of the (cycle, slot) order. */
+    uint32_t
+    opAt(const Region &r, uint32_t pos) const
+    {
+        return order_[r.first_op + pos];
+    }
+
+    /** @return the position one past row @p cycle's last op. */
+    uint32_t
+    rowEnd(const Region &r, size_t cycle) const
+    {
+        return row_end_[r.first_row + cycle];
+    }
+
+    /**
+     * Map a fired branch, op @p op_index of @p r, to its exit record,
+     * or nullptr for an MWBR case edge that falls through internally
+     * (target == kNoBlock).
+     */
+    const sched::ScheduledExit *resolveExit(const Region &r,
+                                            uint32_t op_index,
+                                            const ir::Op &op,
+                                            size_t slot) const;
+
+  private:
+    std::vector<uint32_t> by_root_;     ///< root -> region, or kNone
+    std::vector<Region> regions_;
+    std::vector<uint32_t> order_;       ///< op indices per region
+    std::vector<uint32_t> row_end_;     ///< per region row
+    std::vector<uint32_t> first_exit_;  ///< per op: into rs->exits
+};
+
+/**
  * Execute @p sched on @p memory.
  *
  * @param fn the function the schedule was produced from (register

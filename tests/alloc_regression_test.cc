@@ -18,6 +18,10 @@
  * function or lowering its regions allocates per block and per
  * region, never per op.
  *
+ * A fourth pins the schedule simulators: the in-order engine and the
+ * out-of-order backend allocate per run, never per cycle, op or
+ * region transition.
+ *
  * Remarks and tracing stay disabled here: both are opt-in observers
  * that legitimately allocate, and the steady-state property concerns
  * production (observer-free) compiles.
@@ -28,18 +32,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/liveness.h"
 #include "ir/function.h"
+#include "ir/parser.h"
+#include "ooo/ooo_sim.h"
 #include "region/formation.h"
 #include "sched/hyperblock_lowering.h"
 #include "sched/list_scheduler.h"
+#include "sched/pipeline.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
 #include "support/spans.h"
+#include "vliw/vliw_sim.h"
 #include "workloads/profiler.h"
 #include "workloads/synthetic.h"
 
@@ -317,6 +326,85 @@ TEST(AllocRegression, CloneAndLoweringAllocationsIgnoreOpCount)
         EXPECT_EQ(base, twice)
             << (hyper ? "lowerHyperblock" : "lowerRegion")
             << " allocates per op";
+    }
+}
+
+/**
+ * A loop whose trip count is mem[0]; each iteration loads, adds and
+ * stores, and re-enters its region through a back edge.
+ */
+constexpr const char *kCountedLoop = R"(module counted mem=512
+func @main entry=bb0 gprs=8 preds=2 {
+  block bb0 {
+    r0 = MOVI 0
+    r1 = LD [r0 + 0]
+    r2 = MOVI 0
+    r3 = MOVI 0
+    BRU bb1
+  }
+  block bb1 {
+    p0 = CMPP.LT r2, r1
+    BRCT p0, bb2, bb3
+  }
+  block bb2 {
+    r4 = LD [r2 + 8]
+    r3 = ADD r3, r4
+    ST [r0 + 1], r3
+    r2 = ADD r2, 1
+    BRU bb1
+  }
+  block bb3 {
+    RET r3
+  }
+}
+)";
+
+/**
+ * Neither simulator allocates per cycle, per op or per region
+ * transition: running the loop 10x as many times allocates no more,
+ * except that the region trace the result returns grows by doubling
+ * (std::bit_width(n) allocations for n entries).
+ */
+TEST(AllocRegression, SimulationAllocationsIgnoreRunLength)
+{
+    std::string error;
+    auto mod = ir::parseModule(kCountedLoop, &error);
+    ASSERT_TRUE(mod) << error;
+    ir::Function &fn = mod->function("main");
+    workloads::profileFunction(fn, mod->memWords());
+    PipelineOptions options;
+    options.scheme = RegionScheme::Treegion;
+    options.model = MachineModel::custom(4);
+    ClonedPipelineRun run = runPipelineOnClone(fn, options);
+    const FunctionSchedule &schedule = run.result.schedule;
+
+    auto input = [](int64_t trips) {
+        std::vector<int64_t> memory(512, 3);
+        memory[0] = trips;
+        return memory;
+    };
+    const std::vector<int64_t> short_run = input(20), long_run = input(200);
+
+    // Allocations of the short and the long run of @p simulate, and
+    // the trace growth the long one may add.
+    auto expectFlat = [&](const std::string &engine, auto simulate) {
+        vliw::VliwResult a, b;
+        const uint64_t base = allocationsOf([&] { a = simulate(short_run); });
+        const uint64_t more = allocationsOf([&] { b = simulate(long_run); });
+        ASSERT_TRUE(a.completed && b.completed) << engine;
+        ASSERT_GE(b.trace.size(), 9 * a.trace.size()) << engine;
+        EXPECT_LE(more, base + std::bit_width(b.trace.size()) -
+                            std::bit_width(a.trace.size()))
+            << engine << " allocates per cycle, op or region";
+    };
+    expectFlat("vliw", [&](const std::vector<int64_t> &memory) {
+        return vliw::runScheduled(run.fn, schedule, memory);
+    });
+    for (const ooo::OooConfig &config : ooo::oooConfigs()) {
+        expectFlat(config.name, [&](const std::vector<int64_t> &memory) {
+            return ooo::runOutOfOrder(run.fn, schedule, memory, config)
+                .arch;
+        });
     }
 }
 

@@ -624,8 +624,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     ooo_run.stats.rename_stalls));
         } else {
-            const auto run =
-                vliw::runScheduled(fn, result.schedule, memory);
+            const vliw::VliwResult &run = report.vliw;
             std::printf("run(seed=%llu): result %lld in %llu cycles "
                         "(sequential match confirmed)\n",
                         static_cast<unsigned long long>(cli.run_seed),
