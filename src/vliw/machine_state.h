@@ -81,9 +81,6 @@ class MachineState
         memory_[wrap(addr, true)] = value;
     }
 
-    /** @return the full memory image. */
-    const std::vector<int64_t> &memory() const { return memory_; }
-
     /** Move the memory image out (the state is done with it). */
     std::vector<int64_t> takeMemory() { return std::move(memory_); }
 
