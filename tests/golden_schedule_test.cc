@@ -6,9 +6,11 @@
  * Every input program (examples .tir files plus ten frozen fuzzer-generated
  * programs in tests/golden/inputs/) is compiled under all 4 priority
  * heuristics x both treegion schemes (tree, tree-td) x 1U/4U/8U, and
- * the full canonical dump — estimated time, code expansion, region
- * schedules cycle x slot, every exit record with its reconciliation
- * copies — must match tests/golden/<name>.golden byte for byte.
+ * under the other four schemes (bb, slr, sb, hyper) with the gw
+ * heuristic at 4U. The full canonical dump — estimated time, code
+ * expansion, region schedules cycle x slot, every exit record with
+ * its reconciliation copies — must match tests/golden/<name>.golden
+ * byte for byte.
  *
  * The goldens were captured BEFORE the arena/SoA refactor of the
  * DDG/list-scheduler hot path landed, so any behavioural drift in the
@@ -87,6 +89,16 @@ goldenConfigs()
                 configs.push_back(options);
             }
         }
+    }
+    for (const auto scheme :
+         {sched::RegionScheme::BasicBlock, sched::RegionScheme::Slr,
+          sched::RegionScheme::Superblock,
+          sched::RegionScheme::Hyperblock}) {
+        sched::PipelineOptions options;
+        options.scheme = scheme;
+        options.model = sched::MachineModel::custom(4);
+        options.sched.heuristic = sched::Heuristic::GlobalWeight;
+        configs.push_back(options);
     }
     return configs;
 }

@@ -5,6 +5,10 @@
  * generated programs.
  */
 
+#include <algorithm>
+#include <functional>
+#include <unordered_set>
+
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
@@ -306,6 +310,97 @@ TEST(TreegionFormation, ExpansionLimitBounds)
 
     EXPECT_GE(x2, 1.0);
     EXPECT_LE(x2, x3);
+}
+
+/**
+ * Entry bb0 branches to bb2 and bb5, and bb2 falls into bb5. bb1 and
+ * bb3 each branch to bb4, and no block reaches them: the entry walk
+ * misses bb1, bb3 and bb4, so only the driver's second pass can root
+ * them. Their ids interleave with the reachable ones.
+ */
+Function
+unreachableChainCfg()
+{
+    Function fn("unreachable");
+    Builder bu(fn);
+    BlockId ids[6];
+    for (BlockId &id : ids)
+        id = bu.newBlock();
+    fn.setEntry(ids[0]);
+
+    bu.setInsertPoint(ids[0]);
+    const Reg x = bu.movi(3);
+    bu.condBr(CmpKind::LT, Builder::R(x), Builder::I(5), ids[2], ids[5]);
+    bu.setInsertPoint(ids[2]);
+    bu.movi(1);
+    bu.bru(ids[5]);
+    bu.setInsertPoint(ids[5]);
+    bu.ret(Builder::R(x));
+    for (const size_t from : {1, 3}) {
+        bu.setInsertPoint(ids[from]);
+        bu.movi(static_cast<int64_t>(from));
+        bu.bru(ids[4]);
+    }
+    bu.setInsertPoint(ids[4]);
+    bu.ret(Builder::I(0));
+    return fn;
+}
+
+TEST(FormationDriver, RootsTheBlocksTheEntryWalkMisses)
+{
+    const std::pair<const char *,
+                    std::function<RegionSet(Function &)>>
+        schemes[] = {
+            {"slr", [](Function &f) { return formSlrs(f); }},
+            {"tree", [](Function &f) { return formTreegions(f); }},
+            {"tree-td",
+             [](Function &f) { return formTreegionsTailDup(f, {}); }},
+            {"hyper", [](Function &f) { return formHyperblocks(f); }},
+        };
+    for (const auto &[name, form] : schemes) {
+        SCOPED_TRACE(name);
+        Function fn = unreachableChainCfg();
+        const RegionSet set = form(fn);
+        const auto problems = set.validate(fn);
+        EXPECT_TRUE(problems.empty()) << problems.front();
+
+        // Every live block is in exactly one region.
+        fn.forEachBlock([&](const ir::BasicBlock &b) {
+            size_t holders = 0;
+            for (const Region &r : set.regions())
+                holders += r.contains(b.id()) ? 1 : 0;
+            EXPECT_EQ(holders, 1u) << "bb" << b.id();
+        });
+
+        // Blocks the entry walk reaches, on the formed CFG.
+        std::unordered_set<BlockId> reached;
+        std::vector<BlockId> stack = {fn.entry()};
+        while (!stack.empty()) {
+            const BlockId id = stack.back();
+            stack.pop_back();
+            if (!reached.insert(id).second)
+                continue;
+            for (const BlockId succ : fn.block(id).successors())
+                stack.push_back(succ);
+        }
+
+        // The reachable roots come first; the extra roots follow in
+        // ascending id order.
+        std::vector<BlockId> extra;
+        for (const Region &r : set.regions()) {
+            if (reached.count(r.root()))
+                EXPECT_TRUE(extra.empty())
+                    << "reachable root bb" << r.root()
+                    << " after an unreachable one";
+            else
+                extra.push_back(r.root());
+        }
+        ASSERT_FALSE(extra.empty());
+        EXPECT_EQ(extra.front(), 1u);
+        EXPECT_TRUE(std::is_sorted(extra.begin(), extra.end()));
+        EXPECT_EQ(std::adjacent_find(extra.begin(), extra.end()),
+                  extra.end());
+    }
 }
 
 } // namespace
