@@ -1,10 +1,8 @@
 #include "region/formation.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 
-#include "support/logging.h"
+#include "region/growth.h"
 
 namespace treegion::region {
 
@@ -56,10 +54,7 @@ selectCandidate(ir::Function &fn, const RegionSet &set,
 RegionSet
 formHyperblocks(ir::Function &fn, const HyperblockOptions &options)
 {
-    RegionSet set;
-    std::deque<BlockId> unprocessed = {fn.entry()};
-
-    auto grow_region = [&](BlockId root) {
+    return growRegions(fn, [&](const RegionSet &set, BlockId root) {
         Region hyper(RegionKind::Hyperblock, root);
         while (hyper.size() < options.max_blocks &&
                hyper.pathCount() <= options.path_limit) {
@@ -73,32 +68,8 @@ formHyperblocks(ir::Function &fn, const HyperblockOptions &options)
                           parents.end());
             hyper.addBlockDag(cand, parents);
         }
-        for (const BlockId sapling : hyper.saplings(fn)) {
-            if (!set.covered(sapling))
-                unprocessed.push_back(sapling);
-        }
-        set.add(std::move(hyper));
-    };
-
-    while (!unprocessed.empty()) {
-        const BlockId root = unprocessed.front();
-        unprocessed.pop_front();
-        if (!fn.hasBlock(root) || set.covered(root))
-            continue;
-        grow_region(root);
-    }
-    fn.forEachBlock([&](const ir::BasicBlock &b) {
-        if (!set.covered(b.id()))
-            unprocessed.push_back(b.id());
+        return hyper;
     });
-    while (!unprocessed.empty()) {
-        const BlockId root = unprocessed.front();
-        unprocessed.pop_front();
-        if (!fn.hasBlock(root) || set.covered(root))
-            continue;
-        grow_region(root);
-    }
-    return set;
 }
 
 } // namespace treegion::region
