@@ -9,7 +9,9 @@
  *     cycle x slot schedule grids — home-block colored, speculated
  *     ops marked '*' — and optionally write the same view as a
  *     standalone HTML page (--html FILE) plus the collected decision
- *     remarks as JSON lines (--remarks FILE).
+ *     remarks as JSON lines (--remarks FILE). A module that does not
+ *     parse, is too small to profile or does not verify gets
+ *     treegionc's message and exit 2.
  *
  *  2. --check FILE: validate a remarks JSONL file against the schema
  *     (support/remarks.h); exit 1 with "line N: why" on the first
@@ -53,12 +55,14 @@
 #include <vector>
 
 #include "ir/parser.h"
+#include "ir/verifier.h"
 #include "sched/pipeline.h"
 #include "support/remarks.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
 #include "workloads/profiler.h"
 #include "workloads/spec_proxy.h"
+#include "workloads/synthetic.h"
 
 using namespace treegion;
 
@@ -750,6 +754,33 @@ writeHtmlTimeline(std::ostream &os,
     os << "</body></html>\n";
 }
 
+/**
+ * The checks treegionc makes before it profiles and compiles @p mod,
+ * with its messages: @return false when the module is too small to
+ * profile or a function does not verify.
+ */
+bool
+checkCompilable(ir::Module &mod)
+{
+    if (mod.memWords() < workloads::kMinInputMemWords) {
+        std::fprintf(stderr,
+                     "mem=%zu is too small to profile: it needs mem=%zu "
+                     "or more\n",
+                     mod.memWords(), workloads::kMinInputMemWords);
+        return false;
+    }
+    for (const auto &fn : mod.functions()) {
+        const auto problems =
+            ir::verifyFunction(*fn, ir::VerifyLevel::Schedulable);
+        for (const auto &p : problems)
+            std::fprintf(stderr, "verifier: %s: %s\n",
+                         fn->name().c_str(), p.c_str());
+        if (!problems.empty())
+            return false;
+    }
+    return true;
+}
+
 int
 runTimeline(const CliOptions &cli)
 {
@@ -776,6 +807,8 @@ runTimeline(const CliOptions &cli)
             std::fprintf(stderr, "parse error: %s\n", error.c_str());
             return 2;
         }
+        if (!checkCompilable(*mod))
+            return 2;
         modules.emplace_back(mod->name(), std::move(mod));
     }
 
