@@ -8,6 +8,22 @@ namespace treegion::vliw {
 
 using support::strprintf;
 
+namespace {
+
+/** Why the @p which sequential run did not complete. */
+std::string
+incompleteDetail(const char *which, const ExecResult &run)
+{
+    if (run.halt == Halt::NoMwbrCase) {
+        return strprintf("%s sequential run halted in bb%u: its MWBR "
+                         "selector matched no case",
+                         which, run.trace.back());
+    }
+    return strprintf("%s sequential run hit its op limit", which);
+}
+
+} // namespace
+
 EquivalenceReport
 checkEquivalence(ir::Function &original, ir::Function &transformed,
                  const sched::FunctionSchedule &schedule,
@@ -18,7 +34,7 @@ checkEquivalence(ir::Function &original, ir::Function &transformed,
     const ExecResult seq_orig = runSequential(original, memory);
     if (!seq_orig.completed) {
         report.incomplete = true;
-        report.detail = "original sequential run hit its op limit";
+        report.detail = incompleteDetail("original", seq_orig);
         return report;
     }
     report.seq_ops = seq_orig.ops_executed;
@@ -28,7 +44,7 @@ checkEquivalence(ir::Function &original, ir::Function &transformed,
                                   : runSequential(transformed, memory);
     if (!seq_trans.completed) {
         report.incomplete = true;
-        report.detail = "transformed sequential run hit its op limit";
+        report.detail = incompleteDetail("transformed", seq_trans);
         return report;
     }
 

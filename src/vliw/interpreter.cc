@@ -68,11 +68,13 @@ runSequential(ir::Function &fn, std::vector<int64_t> memory,
             // shrink part of the narrowing chain. Halt without
             // completing so callers reject the execution instead of
             // the process aborting.
+            result.halt = Halt::NoMwbrCase;
             result.memory = state.takeMemory();
             return result;  // completed stays false
         }
         if (out.is_ret) {
             result.completed = true;
+            result.halt = Halt::Returned;
             result.ret_value = out.ret_value;
             result.wrapped_stores = state.wrappedStores();
             result.memory = state.takeMemory();

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the machine state, the sequential interpreter, and the
- * VLIW schedule simulator's Play-Doh semantics (one case also runs
+ * Tests for the machine state, the sequential interpreter, the
+ * equivalence check's incomplete-run reports, and the VLIW schedule
+ * simulator's Play-Doh semantics (one case also runs
  * the out-of-order backend, which reads rows from the same table).
  */
 
@@ -12,6 +13,7 @@
 #include "ir/builder.h"
 #include "ooo/ooo_sim.h"
 #include "sched/pipeline.h"
+#include "vliw/equivalence.h"
 #include "vliw/machine_state.h"
 #include "vliw/vliw_sim.h"
 #include "workloads/profiler.h"
@@ -119,6 +121,73 @@ TEST(Interpreter, OpLimitAborts)
     const auto result = runSequential(fn, std::vector<int64_t>(8, 0),
                                       options);
     EXPECT_FALSE(result.completed);
+}
+
+TEST(Equivalence, NamesWhySequentialRunsStopped)
+{
+    // bb0's MWBR selector is 7, which none of its cases match.
+    Function bad("bad");
+    {
+        Builder bu(bad);
+        const BlockId a = bu.newBlock();
+        const BlockId c0 = bu.newBlock();
+        const BlockId c1 = bu.newBlock();
+        bad.setEntry(a);
+        bu.setInsertPoint(a);
+        bu.mwbr(bu.movi(7), {c0, c1});
+        for (const BlockId c : {c0, c1}) {
+            bu.setInsertPoint(c);
+            bu.ret(Builder::I(0));
+        }
+    }
+    // bb0 branches to itself forever.
+    Function spin("spin");
+    {
+        Builder bu(spin);
+        const BlockId a = bu.newBlock();
+        spin.setEntry(a);
+        bu.setInsertPoint(a);
+        bu.movi(1);
+        bu.bru(a);
+    }
+    Function ok("ok");
+    {
+        Builder bu(ok);
+        const BlockId a = bu.newBlock();
+        ok.setEntry(a);
+        bu.setInsertPoint(a);
+        bu.ret(Builder::I(0));
+    }
+
+    const std::vector<int64_t> mem(8, 0);
+    const ExecResult halted = runSequential(bad, mem);
+    EXPECT_FALSE(halted.completed);
+    EXPECT_EQ(halted.halt, Halt::NoMwbrCase);
+    const ExecResult looped = runSequential(spin, mem);
+    EXPECT_FALSE(looped.completed);
+    EXPECT_EQ(looped.halt, Halt::OpLimit);
+    const ExecResult returned = runSequential(ok, mem);
+    EXPECT_TRUE(returned.completed);
+    EXPECT_EQ(returned.halt, Halt::Returned);
+
+    // An incomplete sequential run stops the check before the
+    // schedule is read.
+    const sched::FunctionSchedule none;
+    const EquivalenceReport selector =
+        checkEquivalence(bad, bad, none, mem);
+    EXPECT_TRUE(selector.incomplete);
+    EXPECT_EQ(selector.detail, "original sequential run halted in bb0: "
+                               "its MWBR selector matched no case");
+    const EquivalenceReport transformed =
+        checkEquivalence(ok, bad, none, mem);
+    EXPECT_TRUE(transformed.incomplete);
+    EXPECT_EQ(transformed.detail,
+              "transformed sequential run halted in bb0: its MWBR "
+              "selector matched no case");
+    const EquivalenceReport limit =
+        checkEquivalence(spin, spin, none, mem);
+    EXPECT_TRUE(limit.incomplete);
+    EXPECT_EQ(limit.detail, "original sequential run hit its op limit");
 }
 
 /** Build, profile, schedule a program and return everything. */
