@@ -4,9 +4,10 @@
  *
  * Generates random programs from a widened workloads::GenParams
  * envelope, compiles every (scheme x heuristic x width) cell across
- * a work-stealing thread pool, and cross-checks four oracles per
+ * a work-stealing thread pool, and cross-checks five oracles per
  * cell (simulator equivalence, schedule legality, IR verification,
- * cost-model sanity) plus the textual round trip per program. Any
+ * cost-model sanity, out-of-order equivalence) plus the textual
+ * round trip per program. Any
  * failure is shrunk by the delta-debugging reducer and written to
  * the corpus as a self-describing .tir repro.
  *
