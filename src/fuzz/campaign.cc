@@ -62,9 +62,7 @@ runCampaign(const CampaignOptions &opts)
                                      support::SpanScope::Root::IfEnabled);
     CampaignResult result;
     support::Rng rng(opts.seed);
-    std::unique_ptr<support::ThreadPool> pool;
-    if (opts.jobs != 1)
-        pool = std::make_unique<support::ThreadPool>(opts.jobs);
+    support::ThreadPool pool(opts.jobs);
 
     const auto deadline =
         std::chrono::steady_clock::now() +
@@ -120,21 +118,14 @@ runCampaign(const CampaignOptions &opts)
                               sched::encodePipelineOptions(options));
             return checkCell(fn, mem_words, options, oracle);
         };
-        if (pool) {
-            std::vector<std::future<OracleFailure>> futures;
-            futures.reserve(cells.size());
-            for (const sched::PipelineOptions &options : cells)
-                futures.push_back(pool->submit(
-                    [&runCell, options] { return runCell(options); }));
-            for (size_t i = 0; i < cells.size(); ++i) {
-                if (OracleFailure fail = futures[i].get())
-                    failures.push_back({cells[i], std::move(fail)});
-            }
-        } else {
-            for (const sched::PipelineOptions &options : cells) {
-                if (OracleFailure fail = runCell(options))
-                    failures.push_back({options, std::move(fail)});
-            }
+        std::vector<std::future<OracleFailure>> futures;
+        futures.reserve(cells.size());
+        for (const sched::PipelineOptions &options : cells)
+            futures.push_back(pool.submit(
+                [&runCell, options] { return runCell(options); }));
+        for (size_t i = 0; i < cells.size(); ++i) {
+            if (OracleFailure fail = futures[i].get())
+                failures.push_back({cells[i], std::move(fail)});
         }
 
         result.failures += failures.size();
@@ -256,7 +247,11 @@ runProxyAudit(int width, size_t jobs)
     }
 
     std::vector<ProxyAuditRow> rows(tasks.size());
-    auto runTask = [&](size_t i) {
+    // Cells on pool threads stay children of the audit's span.
+    const support::SpanContext audit = support::currentSpanContext();
+    support::ThreadPool pool(jobs);
+    pool.parallelFor(tasks.size(), [&](size_t i) {
+        const support::SpanContextScope in_audit(audit);
         const Task &task = tasks[i];
         const ir::Module &mod = *modules[task.proxy_index];
         OracleOptions cell_oracle = oracle;
@@ -272,20 +267,7 @@ runProxyAudit(int width, size_t jobs)
         row.oracle = fail.oracle;
         row.detail = fail.detail;
         rows[i] = std::move(row);
-    };
-
-    if (jobs == 1) {
-        for (size_t i = 0; i < tasks.size(); ++i)
-            runTask(i);
-    } else {
-        support::ThreadPool pool(jobs);
-        std::vector<std::future<void>> futures;
-        futures.reserve(tasks.size());
-        for (size_t i = 0; i < tasks.size(); ++i)
-            futures.push_back(pool.submit([&runTask, i] { runTask(i); }));
-        for (std::future<void> &f : futures)
-            f.get();
-    }
+    });
     return rows;
 }
 

@@ -337,12 +337,9 @@ runPipelineParallel(const std::vector<PipelineJob> &jobs,
     support::MemoryGate local_gate(run.mem_budget_bytes);
     support::MemoryGate *gate = run.gate ? run.gate : &local_gate;
     const bool budgeted = run.gate || run.mem_budget_bytes > 0;
-    const bool run_inline = !run.pool && run.num_threads == 1;
 
-    // A budgeted run projects every job's peak up front, then admits
-    // in ROMA order: largest projected peak first among the jobs that
-    // currently fit. Ties (and the whole scan) break by input index,
-    // so admission order is deterministic.
+    // A budgeted run projects every job's peak up front; the gate
+    // then admits them largest first among the jobs that fit.
     struct Candidate
     {
         size_t index;
@@ -354,22 +351,15 @@ runPipelineParallel(const std::vector<PipelineJob> &jobs,
         waiting.push_back(
             {i, budgeted ? estimateJobPeakBytes(jobs[i]) : 0});
     }
-    // An unlimited gate admits everything on the first scan, and the
-    // inline path runs one job at a time, so the budget is trivially
-    // respected: both keep input order.
-    if (gate->budgetBytes() > 0 && !run_inline) {
-        std::stable_sort(waiting.begin(), waiting.end(),
-                         [](const Candidate &a, const Candidate &b) {
-                             return a.projected > b.projected;
-                         });
-    }
 
     // Run one admitted job. Its result is parked in the job's slot
     // (gathered in input order below) or, with a sink, handed off as
-    // soon as it exists so its memory dies with the job.
+    // soon as it exists so its memory dies with the job. Jobs join
+    // the caller's trace, whichever worker runs them.
+    const support::SpanContext caller = support::currentSpanContext();
     std::mutex sink_mutex;
     std::vector<std::optional<PipelineJobResult>> slots(jobs.size());
-    auto runAdmitted = [&](size_t index, uint64_t projected) {
+    auto runAdmitted = [&](const Candidate &c) {
         // Release on every exit path, including a throwing pipeline,
         // or the coordinator would wait forever. Trim this thread's
         // retained scheduling arena first: memory a worker keeps
@@ -386,65 +376,46 @@ runPipelineParallel(const std::vector<PipelineJob> &jobs,
                     schedArenaTrim();
                 gate->release(bytes);
             }
-        } release{gate, projected};
-        PipelineJobResult result = runOneJob(jobs[index]);
-        result.projected_peak_bytes = projected;
-        result.job_index = index;
+        } release{gate, c.projected};
+        const support::SpanContextScope in_caller(caller);
+        PipelineJobResult result = runOneJob(jobs[c.index]);
+        result.projected_peak_bytes = c.projected;
+        result.job_index = c.index;
         if (run.sink) {
             std::lock_guard<std::mutex> lock(sink_mutex);
             run.sink(std::move(result));
         } else {
-            slots[index].emplace(std::move(result));
+            slots[c.index].emplace(std::move(result));
         }
     };
 
-    if (run_inline) {
-        // No pool: reservations still flow through the gate so its
-        // telemetry (high water) covers this path too.
-        for (const Candidate &c : waiting) {
-            while (!gate->tryAdmit(c.projected))
-                gate->waitForRelease(gate->generation());
-            runAdmitted(c.index, c.projected);
-        }
-    } else {
-        std::unique_ptr<support::ThreadPool> local_pool;
-        if (!run.pool) {
-            local_pool =
-                std::make_unique<support::ThreadPool>(run.num_threads);
-        }
-        support::ThreadPool &workers =
-            run.pool ? *run.pool : *local_pool;
+    std::unique_ptr<support::ThreadPool> local_pool;
+    if (!run.pool)
+        local_pool = std::make_unique<support::ThreadPool>(run.num_threads);
+    support::ThreadPool &workers = run.pool ? *run.pool : *local_pool;
 
-        // The coordinator (this thread) is the only one that ever
-        // waits on the gate; workers just run jobs and release, so
-        // admission cannot deadlock the pool.
-        std::vector<std::future<void>> futures(jobs.size());
-        while (!waiting.empty()) {
-            const uint64_t gen = gate->generation();
-            bool admitted_any = false;
-            for (auto it = waiting.begin(); it != waiting.end();) {
-                if (!gate->tryAdmit(it->projected)) {
-                    ++it;
-                    continue;
-                }
-                admitted_any = true;
-                futures[it->index] = workers.submit(
-                    [&runAdmitted, c = *it] {
-                        runAdmitted(c.index, c.projected);
-                    });
-                it = waiting.erase(it);
-            }
-            if (!waiting.empty() && !admitted_any)
-                gate->waitForRelease(gen);
-        }
-
-        // Let every job finish before any get() can rethrow: the
-        // tasks still write into slots and the sink's mutex.
-        for (auto &future : futures)
-            future.wait();
-        for (auto &future : futures)
-            future.get();
+    // The coordinator (this thread) is the only one that ever waits
+    // on the gate; workers just run jobs and release, so admission
+    // cannot deadlock the pool.
+    std::vector<std::future<void>> futures(jobs.size());
+    while (!waiting.empty()) {
+        const uint64_t gen = gate->generation();
+        const size_t started =
+            gate->admitLargestFirst(waiting, [&](const Candidate &c) {
+                futures[c.index] =
+                    workers.submit([&runAdmitted, c] { runAdmitted(c); });
+                return true;
+            });
+        if (started == 0 && !waiting.empty())
+            gate->waitForRelease(gen);
     }
+
+    // Let every job finish before any get() can rethrow: the tasks
+    // still write into slots and the sink's mutex.
+    for (auto &future : futures)
+        future.wait();
+    for (auto &future : futures)
+        future.get();
 
     std::vector<PipelineJobResult> results;
     if (!run.sink) {

@@ -8,10 +8,10 @@
  * Compilation is embarrassingly parallel across (function,
  * configuration) pairs — the paper's own evaluation sweeps schemes x
  * heuristics x machine models over every benchmark — so the driver
- * also offers runPipelineParallel: shard a batch of PipelineJobs
- * over a work-stealing ThreadPool, compile each one on a private
- * clone, and return results in input order, bit-identical to the
- * sequential path for any thread count.
+ * also offers runPipelineParallel: run a batch of PipelineJobs on a
+ * FIFO ThreadPool, compile each one on a private clone, and return
+ * results in input order, bit-identical to the sequential path for
+ * any thread count.
  */
 
 #ifndef TREEGION_SCHED_PIPELINE_H
@@ -188,10 +188,12 @@ struct PipelineJobResult
  * results are bit-identical to calling runPipeline sequentially on
  * clones, regardless of thread count or scheduling interleaving.
  *
- * With num_threads == 1 the jobs run inline on the calling thread
- * (no pool is created). Pass @p pool to reuse an existing pool
- * (num_threads is then ignored). This is the ParallelRunOptions
- * overload with only num_threads and pool set.
+ * num_threads == 1 is a one-worker pool like any other count. Each
+ * job runs under the calling thread's span context, so its "job"
+ * span is a child of the caller's span at every thread count. Pass
+ * @p pool to reuse an existing pool (num_threads is then ignored).
+ * This is the ParallelRunOptions overload with only num_threads and
+ * pool set.
  */
 std::vector<PipelineJobResult>
 runPipelineParallel(const std::vector<PipelineJob> &jobs,

@@ -797,6 +797,8 @@ Server::dispatchCompile(Conn &conn, uint64_t seq, Request req)
                        std::move(req), /*counted=*/false)) {
         // Admission control: never let the queue grow past
         // queue_limit — answer with backpressure and a retry hint.
+        if (projected > 0)
+            mem_gate_.release(projected);
         metrics_.add("backpressure_rejections");
         Response resp = makeError(
             status::kRejected,
@@ -832,11 +834,8 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_us,
 {
     size_t admitted = admitted_.load();
     do {
-        if (admitted >= options_.queue_limit) {
-            if (projected > 0)
-                mem_gate_.release(projected);
+        if (admitted >= options_.queue_limit)
             return false;
-        }
     } while (
         !admitted_.compare_exchange_weak(admitted, admitted + 1));
 
@@ -928,41 +927,30 @@ Server::submitCompile(Conn &conn, uint64_t seq, int64_t enqueue_us,
 void
 Server::admitParked()
 {
-    // Largest-projected-first among the compiles that fit — the same
-    // ROMA ordering as the driver's gate; the stable sort keeps
-    // equal projections in arrival order. Entries that still don't
-    // fit (or find the pool queue full) stay parked and retry on the
-    // next completion.
-    std::stable_sort(
-        mem_parked_.begin(), mem_parked_.end(),
-        [](const ParkedCompile &a, const ParkedCompile &b) {
-            return a.projected > b.projected;
-        });
+    // A peer that vanished while parked drops its compile. Its
+    // conn.inflight count died with the connection; the loop-liveness
+    // count is still ours to return.
+    std::erase_if(mem_parked_, [this](const ParkedCompile &parked) {
+        if (conns_.count(parked.conn_id) != 0)
+            return false;
+        jobs_inflight_.fetch_sub(1);
+        return true;
+    });
+    // The gate's largest-first scan, as in the batch driver. Compiles
+    // that still don't fit, or find the pool queue full, stay parked
+    // and retry on the next completion.
     const int64_t unpark_us =
         support::SpanCollector::instance().enabled()
             ? support::epochUs()
             : 0;
-    for (size_t i = 0; i < mem_parked_.size();) {
-        ParkedCompile &parked = mem_parked_[i];
-        auto it = conns_.find(parked.conn_id);
-        if (it == conns_.end()) {
-            // The peer vanished while parked: drop the compile. Its
-            // conn.inflight count died with the connection; the
-            // loop-liveness count is still ours to return.
-            jobs_inflight_.fetch_sub(1);
-            mem_parked_.erase(mem_parked_.begin() + i);
-            continue;
-        }
-        if (mem_gate_.tryAdmit(parked.projected) &&
-            submitCompile(*it->second, parked.seq, parked.enqueue_us,
-                          parked.projected, std::move(parked.req),
-                          /*counted=*/true, parked.park_start_us,
-                          unpark_us)) {
-            mem_parked_.erase(mem_parked_.begin() + i);
-        } else {
-            ++i;
-        }
-    }
+    mem_gate_.admitLargestFirst(
+        mem_parked_, [&](ParkedCompile &parked) {
+            return submitCompile(*conns_.at(parked.conn_id), parked.seq,
+                                 parked.enqueue_us, parked.projected,
+                                 std::move(parked.req),
+                                 /*counted=*/true,
+                                 parked.park_start_us, unpark_us);
+        });
 }
 
 void

@@ -306,9 +306,9 @@ class Server
     /**
      * Reserve a queue slot and hand the compile, with the
      * @p projected bytes already reserved in mem_gate_, to the pool.
-     * @return false when the queue is full, after returning those
-     * bytes to the gate. @p counted: the request already holds its
-     * conn.inflight / jobs_inflight_ counts (parked re-admission).
+     * @return false when the queue is full; the caller then returns
+     * those bytes to the gate. @p counted: the request already holds
+     * its conn.inflight / jobs_inflight_ counts (parked re-admission).
      * @p enqueue_us: the arrival time, steady-clock microseconds.
      * @p park_start_us/@p park_end_us: the memory-gate park window
      * (epochUs) a re-admitted request waited through, 0/0 when it

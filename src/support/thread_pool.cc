@@ -13,21 +13,18 @@ ThreadPool::ThreadPool(size_t num_threads)
     // A negative count cast to size_t, or a misread config, should
     // fail loudly here rather than as std::thread exhaustion.
     TG_ASSERT(num_threads <= 4096);
-    workers_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
-        workers_.push_back(std::make_unique<Worker>());
     threads_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        stop_.store(true);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
     }
-    wake_cv_.notify_all();
+    cv_.notify_all();
     for (std::thread &t : threads_)
         t.join();
 }
@@ -41,78 +38,29 @@ ThreadPool::hardwareThreads()
 void
 ThreadPool::enqueue(std::function<void()> task)
 {
-    TG_ASSERT(!stop_.load(), "submit() on a stopping ThreadPool");
-    const size_t target =
-        next_worker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
     {
-        std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-        workers_[target]->tasks.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(mutex_);
+        TG_ASSERT(!stop_, "submit() on a stopping ThreadPool");
+        tasks_.push_back(std::move(task));
     }
-    const size_t outstanding =
-        pending_.fetch_add(1, std::memory_order_release) + 1;
-    {
-        // Empty critical section pairs with the waiters' predicate
-        // check so a wakeup between check and wait is never lost.
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-    }
-    // One notify per enqueue is lossy under bursts: a worker that
-    // wakes early and drains several tasks absorbs the signals meant
-    // for its siblings, which then sleep until the next enqueue. Wake
-    // everyone while more work is outstanding than one wakeup covers.
-    if (outstanding > 1)
-        wake_cv_.notify_all();
-    else
-        wake_cv_.notify_one();
-}
-
-bool
-ThreadPool::takeTask(size_t self, std::function<void()> &out)
-{
-    // Own deque first, oldest task first.
-    {
-        Worker &own = *workers_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            out = std::move(own.tasks.front());
-            own.tasks.pop_front();
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    // Steal the newest task from the first non-empty victim.
-    const size_t n = workers_.size();
-    for (size_t k = 1; k < n; ++k) {
-        Worker &victim = *workers_[(self + k) % n];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            out = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    return false;
+    cv_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(size_t self)
+ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> task;
-        if (takeTask(self, task)) {
-            task();
-            continue;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+            // Stop only once the queue is empty: ~ThreadPool drains.
+            if (tasks_.empty())
+                return;
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        if (stop_.load() && pending_.load() == 0)
-            return;
-        wake_cv_.wait(lock, [this] {
-            return stop_.load() ||
-                   pending_.load(std::memory_order_acquire) > 0;
-        });
-        // Drain outstanding work before honoring stop: the loop goes
-        // back to takeTask first, so ~ThreadPool never drops tasks.
+        task();
     }
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * A work-stealing thread pool for the parallel compilation driver.
+ * The thread pool behind every parallel caller: the batch driver
+ * (sched::runPipelineParallel), the fuzz campaign and treegiond.
  *
- * Each worker owns a deque: it pops work from the front of its own
- * deque and, when empty, steals from the back of a victim's. Tasks
- * are distributed round-robin at submission, so a batch of uniform
- * jobs starts out balanced and stealing only has to absorb the
- * variance (the same shard-and-schedule structure as parallel
- * scheduling of independent task trees — Eyraud-Dubois et al. 2014).
+ * One mutex-guarded FIFO queue feeds every worker, so tasks start in
+ * submission order at any worker count. Callers submit independent
+ * compiles of a millisecond or more each, a grain at which the queue
+ * lock is never the bottleneck. A caller that wants one thread makes
+ * a one-worker pool.
  *
  * submit() returns a std::future so exceptions thrown by a task
  * propagate to whoever joins on the result; parallelFor() rethrows
@@ -18,8 +18,9 @@
 #ifndef TREEGION_SUPPORT_THREAD_POOL_H
 #define TREEGION_SUPPORT_THREAD_POOL_H
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -31,7 +32,7 @@
 
 namespace treegion::support {
 
-/** Fixed-size work-stealing worker pool. */
+/** Fixed-size FIFO worker pool. */
 class ThreadPool
 {
   public:
@@ -47,7 +48,7 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** @return the number of worker threads. */
-    size_t numThreads() const { return workers_.size(); }
+    size_t numThreads() const { return threads_.size(); }
 
     /** @return the machine's hardware thread count (at least 1). */
     static size_t hardwareThreads();
@@ -77,26 +78,14 @@ class ThreadPool
                      const std::function<void(size_t)> &body);
 
   private:
-    /** One worker's deque; mutex-guarded so stealing is race-free. */
-    struct Worker
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
     void enqueue(std::function<void()> task);
-    void workerLoop(size_t self);
+    void workerLoop();
 
-    /** Pop own front, else steal a victim's back. */
-    bool takeTask(size_t self, std::function<void()> &out);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
-    std::mutex wake_mutex_;
-    std::condition_variable wake_cv_;
-    std::atomic<size_t> next_worker_{0};  ///< round-robin target
-    std::atomic<size_t> pending_{0};      ///< queued, not yet taken
-    std::atomic<bool> stop_{false};
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<std::function<void()>> tasks_;  ///< guarded by mutex_
+    bool stop_ = false;                        ///< guarded by mutex_
 };
 
 /**
@@ -107,9 +96,10 @@ class ThreadPool
  * to the pool and releases the reservation when the job finishes, so
  * the aggregate projected peak of everything running never exceeds
  * the budget (the memory-bounded schedules of the ROMA papers —
- * Eyraud-Dubois et al.). Pool workers themselves never block on the
- * gate; only the coordinator waits, so admission can never deadlock
- * the pool.
+ * Eyraud-Dubois et al.). Both coordinators admit waiting jobs with
+ * admitLargestFirst, so the admission order is written once. Pool
+ * workers themselves never block on the gate; only the coordinator
+ * waits, so admission can never deadlock the pool.
  *
  * Progress guarantee: tryAdmit always succeeds when nothing is
  * admitted, whatever the request size. A job projected larger than
@@ -137,6 +127,44 @@ class MemoryGate
 
     /** Return @p bytes reserved by a successful tryAdmit. */
     void release(uint64_t bytes);
+
+    /**
+     * One admission scan over @p waiting, whose items carry their
+     * projected bytes in a `projected` member. Under a budget a
+     * stable sort first puts the largest projection first, ties in
+     * arrival order (the ROMA order); an unlimited gate keeps
+     * arrival order. Each item that fits is reserved and handed to
+     * @p start, then leaves @p waiting. An item @p start refuses
+     * (returns false) gets its bytes back and stays.
+     * @return the number of items started.
+     */
+    template <typename T, typename Start>
+    size_t
+    admitLargestFirst(std::vector<T> &waiting, Start &&start)
+    {
+        if (budget_ > 0) {
+            std::stable_sort(waiting.begin(), waiting.end(),
+                             [](const T &a, const T &b) {
+                                 return a.projected > b.projected;
+                             });
+        }
+        size_t started = 0;
+        auto kept = waiting.begin();
+        for (auto it = waiting.begin(); it != waiting.end(); ++it) {
+            if (tryAdmit(it->projected)) {
+                if (start(*it)) {
+                    ++started;
+                    continue;
+                }
+                release(it->projected);
+            }
+            if (kept != it)
+                *kept = std::move(*it);
+            ++kept;
+        }
+        waiting.erase(kept, waiting.end());
+        return started;
+    }
 
     /**
      * Block until the gate changes from the state observed as

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +89,57 @@ TEST(MemoryGate, UnlimitedGateAdmitsEverything)
     EXPECT_TRUE(gate.tryAdmit(1u << 30));
     gate.release(1u << 30);
     gate.release(1u << 30);
+}
+
+TEST(MemoryGate, ScanAdmitsLargestFirstAndKeepsRefusedStarts)
+{
+    struct Job
+    {
+        char name;
+        uint64_t projected;
+    };
+    auto names = [](const std::vector<Job> &jobs) {
+        std::string out;
+        for (const Job &job : jobs)
+            out += job.name;
+        return out;
+    };
+    support::MemoryGate gate(100);
+    std::vector<Job> waiting = {
+        {'a', 20}, {'b', 50}, {'c', 20}, {'d', 40}, {'e', 20}};
+    std::string order;
+    auto start = [&](const Job &job) {
+        order += job.name;
+        return true;
+    };
+    // Largest first; then no 20 fits next to 50 + 40.
+    EXPECT_EQ(gate.admitLargestFirst(waiting, start), 2u);
+    EXPECT_EQ(order, "bd");
+    EXPECT_EQ(gate.inUseBytes(), 90u);
+    EXPECT_EQ(names(waiting), "ace");
+    gate.release(50);
+    gate.release(40);
+
+    // Ties start in arrival order. A refused start keeps its item,
+    // and its bytes go back to the gate.
+    order.clear();
+    EXPECT_EQ(gate.admitLargestFirst(waiting,
+                                     [&](const Job &job) {
+                                         order += job.name;
+                                         return job.name != 'c';
+                                     }),
+              2u);
+    EXPECT_EQ(order, "ace");
+    EXPECT_EQ(gate.inUseBytes(), 40u);
+    EXPECT_EQ(names(waiting), "c");
+
+    // Without a budget there is nothing to order for: arrival order.
+    support::MemoryGate unlimited(0);
+    waiting = {{'a', 20}, {'b', 50}};
+    order.clear();
+    EXPECT_EQ(unlimited.admitLargestFirst(waiting, start), 2u);
+    EXPECT_EQ(order, "ab");
+    EXPECT_TRUE(waiting.empty());
 }
 
 /** Batched jobs over the two smallest SPEC proxies. */
@@ -210,12 +262,14 @@ TEST_F(MemSchedTest, BudgetedResultsMatchUnbudgetedBitForBit)
     }
 }
 
-TEST_F(MemSchedTest, InlineBudgetedPathPreservesInputOrder)
+TEST_F(MemSchedTest, OneWorkerBudgetedRunPreservesInputOrder)
 {
+    // Oversized jobs run solo, largest first, on the one worker;
+    // the results still come back in input order.
     const auto jobs = makeJobs(6);
     ParallelRunOptions run;
     run.num_threads = 1;
-    run.mem_budget_bytes = 1;  // everything oversized: solo anyway
+    run.mem_budget_bytes = 1;
     const auto results = runPipelineParallel(jobs, run);
     ASSERT_EQ(results.size(), jobs.size());
     for (size_t i = 0; i < results.size(); ++i)

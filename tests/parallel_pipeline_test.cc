@@ -153,8 +153,8 @@ TEST_F(ParallelPipelineTest, CallerPoolMatchesPrivatePool)
     const auto reference = runPipelineParallel(jobs_, 2);
 
     // One caller-owned pool serves several batches through either
-    // overload; num_threads is ignored once a pool is passed, so even
-    // num_threads == 1 runs on the pool instead of inline.
+    // overload; num_threads is ignored once a pool is passed, so
+    // num_threads == 1 runs on the caller's two workers.
     support::ThreadPool pool(2);
     ParallelRunOptions run;
     run.pool = &pool;

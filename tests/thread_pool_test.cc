@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for the work-stealing thread pool: result ordering,
+ * Unit tests for the FIFO thread pool: start and result ordering,
  * exception propagation, stress with many small tasks, and clean
- * shutdown. These are the tests the CI TSan job runs.
+ * shutdown. The CI TSan job runs these.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -60,6 +62,45 @@ TEST(ThreadPool, ResultsKeepSubmissionOrderAcrossThreadCounts)
         for (size_t i = 0; i < futures.size(); ++i)
             EXPECT_EQ(futures[i].get(), i);
     }
+}
+
+TEST(ThreadPool, StartsTasksInSubmissionOrder)
+{
+    // Two blockers occupy both workers: the first until every other
+    // task has run, the second until submission ends. The rest all
+    // wait in the pool, and the second blocker's worker alone then
+    // starts them: one queue hands them out oldest first.
+    ThreadPool pool(2);
+    constexpr size_t kRest = 32;
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool submitted = false;
+    std::vector<size_t> started;
+    auto first = pool.submit([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return started.size() == kRest; });
+    });
+    auto hold = pool.submit([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return submitted; });
+    });
+    for (size_t i = 1; i <= kRest; ++i) {
+        pool.submit([&, i] {
+            std::lock_guard<std::mutex> lock(mutex);
+            started.push_back(i);
+            cv.notify_all();
+        });
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        submitted = true;
+    }
+    cv.notify_all();
+    hold.get();
+    first.get();
+    std::vector<size_t> expected(kRest);
+    std::iota(expected.begin(), expected.end(), size_t{1});
+    EXPECT_EQ(started, expected);
 }
 
 TEST(ThreadPool, ExceptionPropagatesThroughFuture)
@@ -123,8 +164,8 @@ TEST(ThreadPool, TasksRunOnMultipleThreads)
     std::mutex mutex;
     std::set<std::thread::id> ids;
     // Enough slow-ish tasks that every worker gets a chance to take
-    // at least one (the assertion is >1 to stay robust on loaded or
-    // single-core machines: even there, stealing keeps >=1 alive).
+    // at least one. The lower bound is 1 to stay robust on loaded or
+    // single-core machines, where one worker may drain the queue.
     pool.parallelFor(256, [&](size_t) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
         std::lock_guard<std::mutex> lock(mutex);
@@ -157,8 +198,8 @@ TEST(ThreadPool, BurstSubmissionEngagesAllWorkers)
     }
     for (auto &f : futures)
         f.get();
-    // If burst admission woke only one worker, it would drain the
-    // whole queue serially and peak concurrency would stay at 1.
+    // If a burst of enqueues woke only one worker, it would drain
+    // the whole queue serially and peak concurrency would stay at 1.
     EXPECT_GE(max_seen.load(), 2);
 }
 

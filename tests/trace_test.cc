@@ -257,5 +257,35 @@ TEST_F(TraceTest, StageSpansCarryRegionAndOpCounts)
     EXPECT_EQ(schedule, 1u);
 }
 
+TEST_F(TraceTest, JobSpansJoinTheCallersTraceAtAnyThreadCount)
+{
+    const ir::Function fn = diamond();
+    std::vector<sched::PipelineJob> jobs(6);
+    for (sched::PipelineJob &job : jobs)
+        job.fn = &fn;
+    SpanCollector &collector = SpanCollector::instance();
+    collector.configure(1.0);
+    for (const size_t threads : {1u, 4u}) {
+        collector.clear();
+        SpanContext caller;
+        {
+            SpanScope root("batch", SpanScope::Root::IfEnabled);
+            ASSERT_TRUE(root.live());
+            caller = root.context();
+            sched::runPipelineParallel(jobs, threads);
+        }
+        size_t job_spans = 0;
+        for (const TraceSpan &s : collector.snapshot()) {
+            if (s.name != "job")
+                continue;
+            ++job_spans;
+            EXPECT_EQ(s.trace_hi, caller.trace_hi) << threads;
+            EXPECT_EQ(s.trace_lo, caller.trace_lo) << threads;
+            EXPECT_EQ(s.parent, caller.span) << threads;
+        }
+        EXPECT_EQ(job_spans, jobs.size()) << threads;
+    }
+}
+
 } // namespace
 } // namespace treegion::support
