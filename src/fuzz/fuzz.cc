@@ -104,9 +104,8 @@ checkCostModel(const sched::PipelineResult &res,
 
 /**
  * Fifth oracle: the out-of-order backend must produce the in-order
- * VLIW simulator's architectural outcome @p v (return value, memory
- * image, region-root trace, and the architectural counters) for
- * every named OoO configuration.
+ * VLIW simulator's architectural outcome @p v for every named OoO
+ * configuration (vliw::backendMismatch).
  */
 OracleFailure
 checkBackendAgreement(ir::Function &transformed,
@@ -117,47 +116,11 @@ checkBackendAgreement(ir::Function &transformed,
     for (const ooo::OooConfig &config : ooo::oooConfigs()) {
         const ooo::OooResult o =
             ooo::runOutOfOrder(transformed, schedule, memory, config);
-        auto diverged = [&](std::string detail) -> OracleFailure {
+        const std::string mismatch = vliw::backendMismatch(o.arch, v);
+        if (!mismatch.empty()) {
             return {"ooo-equivalence",
                     strprintf("input %d, %s: %s", input,
-                              config.name.c_str(), detail.c_str())};
-        };
-        if (!o.arch.completed)
-            return diverged("ooo hit its cycle limit but the vliw "
-                            "backend completed");
-        if (o.arch.ret_value != v.ret_value) {
-            return diverged(strprintf(
-                "return value %lld != vliw %lld",
-                static_cast<long long>(o.arch.ret_value),
-                static_cast<long long>(v.ret_value)));
-        }
-        for (size_t i = 0; i < v.memory.size(); ++i) {
-            if (o.arch.memory[i] != v.memory[i]) {
-                return diverged(strprintf(
-                    "memory[%zu]: %lld != vliw %lld", i,
-                    static_cast<long long>(o.arch.memory[i]),
-                    static_cast<long long>(v.memory[i])));
-            }
-        }
-        if (o.arch.trace != v.trace) {
-            return diverged(strprintf(
-                "region trace: %zu entries != vliw %zu",
-                o.arch.trace.size(), v.trace.size()));
-        }
-        if (o.arch.regions_executed != v.regions_executed ||
-            o.arch.copies_applied != v.copies_applied ||
-            o.arch.ops_executed != v.ops_executed) {
-            return diverged(strprintf(
-                "counters (regions %llu copies %llu ops %llu) != "
-                "vliw (%llu %llu %llu)",
-                static_cast<unsigned long long>(
-                    o.arch.regions_executed),
-                static_cast<unsigned long long>(
-                    o.arch.copies_applied),
-                static_cast<unsigned long long>(o.arch.ops_executed),
-                static_cast<unsigned long long>(v.regions_executed),
-                static_cast<unsigned long long>(v.copies_applied),
-                static_cast<unsigned long long>(v.ops_executed)));
+                              config.name.c_str(), mismatch.c_str())};
         }
     }
     return {};

@@ -115,4 +115,45 @@ checkEquivalence(ir::Function &original, ir::Function &transformed,
     return report;
 }
 
+std::string
+backendMismatch(const VliwResult &ooo, const VliwResult &vliw)
+{
+    if (!ooo.completed)
+        return "ooo hit its cycle limit but the vliw backend completed";
+    if (ooo.ret_value != vliw.ret_value) {
+        return strprintf("return value %lld != vliw %lld",
+                         static_cast<long long>(ooo.ret_value),
+                         static_cast<long long>(vliw.ret_value));
+    }
+    if (ooo.memory.size() != vliw.memory.size()) {
+        return strprintf("memory: %zu words != vliw %zu",
+                         ooo.memory.size(), vliw.memory.size());
+    }
+    for (size_t i = 0; i < vliw.memory.size(); ++i) {
+        if (ooo.memory[i] != vliw.memory[i]) {
+            return strprintf("memory[%zu]: %lld != vliw %lld", i,
+                             static_cast<long long>(ooo.memory[i]),
+                             static_cast<long long>(vliw.memory[i]));
+        }
+    }
+    if (ooo.trace != vliw.trace) {
+        return strprintf("region trace: %zu entries != vliw %zu",
+                         ooo.trace.size(), vliw.trace.size());
+    }
+    if (ooo.regions_executed != vliw.regions_executed ||
+        ooo.copies_applied != vliw.copies_applied ||
+        ooo.ops_executed != vliw.ops_executed) {
+        return strprintf(
+            "counters (regions %llu copies %llu ops %llu) != "
+            "vliw (%llu %llu %llu)",
+            static_cast<unsigned long long>(ooo.regions_executed),
+            static_cast<unsigned long long>(ooo.copies_applied),
+            static_cast<unsigned long long>(ooo.ops_executed),
+            static_cast<unsigned long long>(vliw.regions_executed),
+            static_cast<unsigned long long>(vliw.copies_applied),
+            static_cast<unsigned long long>(vliw.ops_executed));
+    }
+    return {};
+}
+
 } // namespace treegion::vliw

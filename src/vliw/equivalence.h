@@ -52,6 +52,18 @@ EquivalenceReport checkEquivalence(ir::Function &original,
                                    const sched::FunctionSchedule &schedule,
                                    const std::vector<int64_t> &memory);
 
+/**
+ * Compare the out-of-order backend's architectural outcome @p ooo
+ * (ooo::OooResult::arch) with the in-order run @p vliw of the same
+ * schedule on the same input: completion, return value, memory
+ * image, region-root trace and the architectural counters (regions,
+ * copies, ops). The fuzzer's ooo-equivalence oracle and treegionc
+ * --sim-backend ooo share this check.
+ * @return the first difference, or "" when the two agree.
+ */
+std::string backendMismatch(const VliwResult &ooo,
+                            const VliwResult &vliw);
+
 } // namespace treegion::vliw
 
 #endif // TREEGION_VLIW_EQUIVALENCE_H

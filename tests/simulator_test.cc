@@ -190,6 +190,54 @@ TEST(Equivalence, NamesWhySequentialRunsStopped)
     EXPECT_EQ(limit.detail, "original sequential run hit its op limit");
 }
 
+TEST(Equivalence, BackendMismatchNamesTheFirstDifferingField)
+{
+    VliwResult vliw;
+    vliw.completed = true;
+    vliw.ret_value = 5;
+    vliw.memory = {1, 2, 3};
+    vliw.trace = {0, 2};
+    vliw.cycles = 40;
+    vliw.regions_executed = 2;
+    vliw.copies_applied = 1;
+    vliw.ops_executed = 9;
+
+    // Cycle counts are timing, not architecture: they may differ.
+    VliwResult same = vliw;
+    same.cycles = 17;
+    EXPECT_EQ(backendMismatch(same, vliw), "");
+
+    VliwResult ooo = vliw;
+    ooo.completed = false;
+    EXPECT_EQ(backendMismatch(ooo, vliw),
+              "ooo hit its cycle limit but the vliw backend completed");
+    ooo = vliw;
+    ooo.ret_value = -4;
+    EXPECT_EQ(backendMismatch(ooo, vliw), "return value -4 != vliw 5");
+    ooo = vliw;
+    ooo.memory[2] = 7;
+    EXPECT_EQ(backendMismatch(ooo, vliw), "memory[2]: 7 != vliw 3");
+    ooo = vliw;
+    ooo.memory.push_back(0);
+    EXPECT_EQ(backendMismatch(ooo, vliw), "memory: 4 words != vliw 3");
+    ooo = vliw;
+    ooo.trace = {0, 1, 2};
+    EXPECT_EQ(backendMismatch(ooo, vliw),
+              "region trace: 3 entries != vliw 2");
+    ooo = vliw;
+    ooo.regions_executed = 3;
+    EXPECT_EQ(backendMismatch(ooo, vliw),
+              "counters (regions 3 copies 1 ops 9) != vliw (2 1 9)");
+    ooo = vliw;
+    ooo.copies_applied = 0;
+    EXPECT_EQ(backendMismatch(ooo, vliw),
+              "counters (regions 2 copies 0 ops 9) != vliw (2 1 9)");
+    ooo = vliw;
+    ooo.ops_executed = 10;
+    EXPECT_EQ(backendMismatch(ooo, vliw),
+              "counters (regions 2 copies 1 ops 10) != vliw (2 1 9)");
+}
+
 /** Build, profile, schedule a program and return everything. */
 struct Pipeline
 {

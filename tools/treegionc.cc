@@ -23,7 +23,9 @@
  *   --sim-backend vliw|ooo            machine model for --run: the
  *                                     in-order VLIW simulator
  *                                     (default) or the out-of-order
- *                                     Tomasulo/ROB backend
+ *                                     Tomasulo/ROB backend, whose
+ *                                     outcome must match the
+ *                                     in-order run's
  *   --ooo-config NAME                 OoO configuration for
  *                                     --sim-backend ooo: "ooo-small"
  *                                     (default) or "ooo-wide"
@@ -32,7 +34,7 @@
  *                                     lines ("-" = stdout); works in
  *                                     single and batch mode
  *
- * Batch compilation (sharded over a work-stealing thread pool):
+ * Batch compilation (on a FIFO thread pool; -j 1 is one worker):
  *   -j N | --jobs N      worker threads (default 1; 0 = all cores)
  *   --mem-budget-mb N    admit jobs through a peak-memory budget of
  *                        N MiB: a job starts only when its projected
@@ -606,9 +608,12 @@ main(int argc, char **argv)
         if (cli.run_ooo) {
             const auto ooo_run = ooo::runOutOfOrder(
                 fn, result.schedule, memory, cli.ooo_config);
-            if (!ooo_run.arch.completed) {
-                std::fprintf(stderr,
-                             "ooo run hit its cycle limit\n");
+            const std::string mismatch =
+                vliw::backendMismatch(ooo_run.arch, report.vliw);
+            if (!mismatch.empty()) {
+                std::fprintf(stderr, "equivalence FAILED: %s: %s\n",
+                             cli.ooo_config.name.c_str(),
+                             mismatch.c_str());
                 return finish(1);
             }
             std::printf(
