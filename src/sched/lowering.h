@@ -67,10 +67,10 @@ struct LoweredOp
 /** Exit metadata prior to scheduling. */
 struct LoweredExit
 {
-    size_t op_index;        ///< index of the exit's branch op
-    size_t target_slot;     ///< terminator target slot / MWBR case
-    ir::BlockId from;
-    ir::BlockId target;     ///< kNoBlock for RET
+    size_t op_index = 0;    ///< index of the exit's branch op
+    size_t target_slot = 0; ///< terminator target slot / MWBR case
+    ir::BlockId from = 0;
+    ir::BlockId target = 0; ///< kNoBlock for RET
     bool is_ret = false;
     double weight = 0.0;
     std::vector<ExitCopy> copies;

@@ -136,12 +136,12 @@ struct ScheduledExit
      */
     static constexpr size_t kFallthrough = static_cast<size_t>(-1);
 
-    size_t op_index;       ///< index into RegionSchedule::ops of the
+    size_t op_index = 0;   ///< index into RegionSchedule::ops of the
                            ///< branch op that takes this exit, or
                            ///< kFallthrough
-    size_t target_slot;    ///< terminator target slot (MWBR case idx)
-    ir::BlockId from;      ///< original block the exit came from
-    ir::BlockId target;    ///< destination block (kNoBlock for RET)
+    size_t target_slot = 0;  ///< terminator target slot (MWBR case idx)
+    ir::BlockId from = 0;    ///< original block the exit came from
+    ir::BlockId target = 0;  ///< destination block (kNoBlock for RET)
     bool is_ret = false;   ///< function exit
     double weight = 0.0;   ///< profile weight of the exit edge
     int cycle = 0;         ///< cycle the exit branch issues in
