@@ -565,7 +565,8 @@ runTraceMerge(const CliOptions &cli)
 struct ReportUnit
 {
     std::string name;  ///< display name, e.g. "gcc/main"
-    sched::PipelineJobResult result;
+    sched::ClonedPipelineRun run;
+    support::RemarkStream remarks;  ///< stamped with the name
 };
 
 /** Qualitative palette shared by the ANSI and HTML renderings. */
@@ -599,10 +600,10 @@ sortedRoots(const sched::FunctionSchedule &schedule)
 void
 printAsciiTimeline(const ReportUnit &unit, int issue_width, bool color)
 {
-    const auto &schedule = unit.result.result.schedule;
+    const auto &schedule = unit.run.result.schedule;
     std::printf("=== %s: %zu regions, estimate %.0f cycles\n",
                 unit.name.c_str(), schedule.regions.size(),
-                unit.result.result.estimated_time);
+                unit.run.result.estimated_time);
     for (const ir::BlockId root : sortedRoots(schedule)) {
         const sched::RegionSchedule &rs = schedule.regions.at(root);
         std::printf("-- region bb%u (%d cycles, %zu ops, %zu exits)\n",
@@ -638,9 +639,9 @@ printAsciiTimeline(const ReportUnit &unit, int issue_width, bool color)
             std::printf("|\n");
         }
     }
-    if (unit.result.remarks.size() > 0) {
+    if (unit.remarks.size() > 0) {
         std::map<std::string, size_t> by_kind;
-        for (const support::Remark &r : unit.result.remarks.remarks())
+        for (const support::Remark &r : unit.remarks.remarks())
             ++by_kind[support::remarkKindName(r.kind)];
         std::printf("remarks:");
         for (const auto &[kind, count] : by_kind)
@@ -684,12 +685,12 @@ writeHtmlTimeline(std::ostream &os,
           "italic cell is an op <b>speculated</b> above a branch of "
           "its home path.</p>\n";
     for (const ReportUnit &unit : units) {
-        const auto &schedule = unit.result.result.schedule;
+        const auto &schedule = unit.run.result.schedule;
         os << "<h2>" << htmlEscape(unit.name) << "</h2>\n"
            << "<p>" << schedule.regions.size()
            << " regions, estimated "
            << support::strprintf(
-                  "%.0f", unit.result.result.estimated_time)
+                  "%.0f", unit.run.result.estimated_time)
            << " cycles</p>\n";
         for (const ir::BlockId root : sortedRoots(schedule)) {
             const sched::RegionSchedule &rs =
@@ -740,10 +741,9 @@ writeHtmlTimeline(std::ostream &os,
             }
             os << "</table>\n";
         }
-        if (unit.result.remarks.size() > 0) {
+        if (unit.remarks.size() > 0) {
             std::map<std::string, size_t> by_kind;
-            for (const support::Remark &r :
-                 unit.result.remarks.remarks())
+            for (const support::Remark &r : unit.remarks.remarks())
                 ++by_kind[support::remarkKindName(r.kind)];
             os << "<p>remarks:";
             for (const auto &[kind, count] : by_kind)
@@ -818,25 +818,22 @@ runTimeline(const CliOptions &cli)
         for (const auto &fn_ptr : mod->functions()) {
             ir::Function &fn = *fn_ptr;
             workloads::profileFunction(fn, mod->memWords());
-            sched::PipelineJob job;
-            job.fn = &fn;
-            job.options = cli.pipeline;
-            job.collect_remarks = true;
-            auto results = sched::runPipelineParallel({job}, 1);
-
-            ReportUnit unit{mod_name + "/" + fn.name(),
-                            std::move(results.front())};
+            support::RemarkStream remarks;
+            auto run = [&] {
+                support::RemarkScope scope(&remarks);
+                return sched::runPipelineOnClone(fn, cli.pipeline);
+            }();
+            ReportUnit unit{mod_name + "/" + fn.name(), std::move(run),
+                            {}};
             // Proxy functions are all called "main": qualify the
             // remark function stamp with the module name so streams
             // from different proxies stay distinguishable in a diff.
-            support::RemarkStream qualified;
-            qualified.setFunction(unit.name);
-            for (support::Remark r : unit.result.remarks.remarks()) {
+            unit.remarks.setFunction(unit.name);
+            for (support::Remark r : remarks.remarks()) {
                 r.function = unit.name;
-                qualified.emit(std::move(r));
+                unit.remarks.emit(std::move(r));
             }
-            unit.result.remarks = std::move(qualified);
-            remarks_jsonl += unit.result.remarks.toJsonLines();
+            remarks_jsonl += unit.remarks.toJsonLines();
             units.push_back(std::move(unit));
         }
     }
