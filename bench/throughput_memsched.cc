@@ -4,7 +4,7 @@
  *
  * The batch is the SPECint95 proxy sweep (every proxy under the
  * memory-hungry schemes). It is compiled once unbudgeted — plain
- * FIFO over the work-stealing pool — to measure the unconstrained
+ * FIFO over the thread pool — to measure the unconstrained
  * peak heap footprint, then again under several --mem-budget style
  * budgets expressed as fractions of that peak. For every point the
  * bench reports the measured peak live-heap growth (the max-RSS

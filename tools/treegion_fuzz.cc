@@ -3,13 +3,13 @@
  * treegion-fuzz: differential fuzzing driver.
  *
  * Generates random programs from a widened workloads::GenParams
- * envelope, compiles every (scheme x heuristic x width) cell across
- * a work-stealing thread pool, and cross-checks five oracles per
- * cell (simulator equivalence, schedule legality, IR verification,
- * cost-model sanity, out-of-order equivalence) plus the textual
- * round trip per program. Any
- * failure is shrunk by the delta-debugging reducer and written to
- * the corpus as a self-describing .tir repro.
+ * envelope, compiles every (scheme x heuristic x width) cell on a
+ * FIFO thread pool (one worker at --jobs 1), and cross-checks five
+ * oracles per cell (simulator equivalence, schedule legality, IR
+ * verification, cost-model sanity, out-of-order equivalence) plus
+ * the textual round trip per program. Any failure is shrunk by the
+ * delta-debugging reducer and written to the corpus as a
+ * self-describing .tir repro.
  *
  * Usage:
  *   treegion-fuzz [options]
