@@ -87,21 +87,13 @@ int
 main()
 {
     auto workloads = bench::loadWorkloads();
-    const sched::RegionScheme schemes[] = {
-        sched::RegionScheme::BasicBlock,
-        sched::RegionScheme::Slr,
-        sched::RegionScheme::Superblock,
-        sched::RegionScheme::Treegion,
-        sched::RegionScheme::TreegionTailDup,
-        sched::RegionScheme::Hyperblock,
-    };
     const ooo::OooConfig small = ooo::oooSmall();
     const ooo::OooConfig wide = ooo::oooWide();
     std::printf("| scheme | heuristic | 4U cyc | 8U cyc | "
                 "ooo-small cyc (IPC) | ooo-wide cyc (IPC) | "
                 "wide/8U |\n");
     std::printf("|---|---|---|---|---|---|---|\n");
-    for (const sched::RegionScheme scheme : schemes) {
+    for (const sched::RegionScheme scheme : sched::kAllRegionSchemes) {
         for (const sched::Heuristic heuristic :
              sched::kAllHeuristics) {
             auto suite4 = compileSuite(

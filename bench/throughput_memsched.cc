@@ -19,11 +19,12 @@
  * against the last BENCH_memsched.json entry
  * (treegion-memsched-bench/v1, scripts/perf_compare.py).
  *
- * --calibrate instead compiles every job alone, single-threaded with
- * per-stage profiling on, and prints one CSV row per job: the shape
- * counts (ops, blocks, edges), the measured peak growth, and the
- * current sched/mem_estimate.h projection. The estimator's
- * coefficients are fit from (and pinned within 2x of) this sweep.
+ * --calibrate instead compiles every job alone on this thread and
+ * prints one CSV row per job: the shape counts (ops, blocks, edges),
+ * the thread's scheduling-arena high water so far, the peak live-heap
+ * growth over the whole job, and the current sched/mem_estimate.h
+ * projection. The estimator's coefficients are fit from (and pinned
+ * within 2x of) this sweep.
  *
  * Usage:
  *   throughput_memsched [--repeats N] [--threads N] [--label STR]
@@ -160,17 +161,17 @@ runPoint(const char *name,
 }
 
 /**
- * Compile every job alone (single thread, per-stage profiling) and
- * print one CSV row per job: shape counts, measured peak growth,
- * and the current estimator projection. The coefficient fit in
+ * Compile every job alone on this thread and print one CSV row per
+ * job: shape counts, the thread's scheduling-arena high water so far,
+ * the peak live-heap growth over the whole job (one window, opened
+ * before the clone and read after the pipeline returns), and the
+ * current estimator projection. The coefficient fit in
  * sched/mem_estimate.cc comes from this output.
  */
 int
 runCalibration(const std::vector<sched::PipelineJob> &jobs)
 {
-    support::memstatSetStageProfiling(true);
     std::printf("label,scheme,width,ops,blocks,edges,"
-                "formation_peak,liveness_peak,schedule_peak,"
                 "arena_high_water,measured_peak,estimated_peak\n");
     for (const sched::PipelineJob &job : jobs) {
         const sched::MemShape shape =
@@ -184,8 +185,7 @@ runCalibration(const std::vector<sched::PipelineJob> &jobs)
         const uint64_t measured =
             peak > start_live ? peak - start_live : 0;
         std::printf(
-            "%s,%s,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-            "%llu\n",
+            "%s,%s,%d,%llu,%llu,%llu,%llu,%llu,%llu\n",
             job.label.c_str(),
             sched::regionSchemeName(job.options.scheme).c_str(),
             job.options.model.issue_width,
@@ -193,17 +193,10 @@ runCalibration(const std::vector<sched::PipelineJob> &jobs)
             static_cast<unsigned long long>(shape.blocks),
             static_cast<unsigned long long>(shape.edges),
             static_cast<unsigned long long>(
-                run.result.mem.formation_peak_bytes),
-            static_cast<unsigned long long>(
-                run.result.mem.liveness_peak_bytes),
-            static_cast<unsigned long long>(
-                run.result.mem.schedule_peak_bytes),
-            static_cast<unsigned long long>(
-                run.result.mem.sched_arena_high_water_bytes),
+                sched::schedArenaHighWaterBytes()),
             static_cast<unsigned long long>(measured),
             static_cast<unsigned long long>(estimated));
     }
-    support::memstatSetStageProfiling(false);
     return 0;
 }
 

@@ -45,15 +45,9 @@ sweepJobs()
         sched::RegionScheme::Superblock,
         sched::RegionScheme::Treegion,
     };
-    static const sched::Heuristic heuristics[] = {
-        sched::Heuristic::DependenceHeight,
-        sched::Heuristic::ExitCount,
-        sched::Heuristic::GlobalWeight,
-        sched::Heuristic::WeightedCount,
-    };
     std::vector<sched::PipelineJob> jobs;
     for (const auto scheme : schemes) {
-        for (const auto heuristic : heuristics) {
+        for (const auto heuristic : sched::kAllHeuristics) {
             for (const int width : {4, 8}) {
                 sched::PipelineJob job;
                 job.fn = &gccProxy();

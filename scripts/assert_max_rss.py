@@ -16,8 +16,12 @@ input. The default ceiling sits between the two with wide margin on
 both sides; the *precise* frontier bars live in
 `throughput_memsched --assert`, which meters the heap directly.
 
-Usage: assert_max_rss.py [--treegionc PATH] [--copies N]
+Usage: assert_max_rss.py [--treegionc PATH] [--source TIR] [--copies N]
                          [--budget-mb B] [--max-rss-mb M]
+
+--treegionc and --source default to build/tools/treegionc and
+tests/golden/inputs/fuzz05.tir in the checkout that holds this script,
+whatever the working directory.
 """
 
 import argparse
@@ -53,11 +57,18 @@ def max_rss_mb(cmd: list) -> float:
     return rusage.ru_maxrss / 1024.0
 
 
+# The checkout that holds this script.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--treegionc", default="./build/tools/treegionc")
+    parser.add_argument("--treegionc",
+                        default=os.path.join(ROOT, "build", "tools",
+                                             "treegionc"))
     parser.add_argument("--source",
-                        default="tests/golden/inputs/fuzz05.tir")
+                        default=os.path.join(ROOT, "tests", "golden",
+                                             "inputs", "fuzz05.tir"))
     parser.add_argument("--copies", type=int, default=32)
     parser.add_argument("--budget-mb", type=int, default=32)
     parser.add_argument("--max-rss-mb", type=float, default=160.0)

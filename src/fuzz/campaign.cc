@@ -21,15 +21,6 @@ using support::strprintf;
 
 namespace {
 
-constexpr sched::RegionScheme kAllSchemes[] = {
-    sched::RegionScheme::BasicBlock,
-    sched::RegionScheme::Slr,
-    sched::RegionScheme::Superblock,
-    sched::RegionScheme::Treegion,
-    sched::RegionScheme::TreegionTailDup,
-    sched::RegionScheme::Hyperblock,
-};
-
 struct CellFailure
 {
     sched::PipelineOptions options;
@@ -88,7 +79,7 @@ runCampaign(const CampaignOptions &opts)
         // One cell per scheme x heuristic x width; lowering toggles
         // drawn per cell so the sweep covers both settings over time.
         std::vector<sched::PipelineOptions> cells;
-        for (const sched::RegionScheme scheme : kAllSchemes) {
+        for (const sched::RegionScheme scheme : sched::kAllRegionSchemes) {
             for (const sched::Heuristic heuristic :
                  sched::kAllHeuristics) {
                 for (const int width : opts.widths) {
@@ -234,7 +225,7 @@ runProxyAudit(int width, size_t jobs)
         workloads::profileFunction(base, modules.back()->memWords(),
                                    prof);
         baselines.push_back(sched::estimateBaselineTime(base));
-        for (const sched::RegionScheme scheme : kAllSchemes) {
+        for (const sched::RegionScheme scheme : sched::kAllRegionSchemes) {
             for (const sched::Heuristic heuristic :
                  sched::kAllHeuristics) {
                 sched::PipelineOptions options;

@@ -86,9 +86,8 @@ void reportArenaMetrics(support::MetricsRegistry &metrics);
 
 /**
  * @return the calling thread's scheduling-arena high-water mark in
- * bytes (0 if this thread never scheduled). Per-thread, not global:
- * the per-stage memory telemetry in PipelineResult reads this right
- * after the schedule stage it measures.
+ * bytes (0 if this thread never scheduled): the running maximum over
+ * every job this thread scheduled, not the last job's.
  */
 uint64_t schedArenaHighWaterBytes();
 

@@ -1,6 +1,7 @@
 #include "sched/pipeline.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -13,7 +14,6 @@
 #include "sched/mem_estimate.h"
 #include "support/flightrec.h"
 #include "support/logging.h"
-#include "support/memstat.h"
 #include "support/spans.h"
 #include "support/string_utils.h"
 
@@ -165,27 +165,20 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
 {
     using support::SpanScope;
 
+    // If this compile never returns, the flight recorder's dump shows
+    // which compile each thread was in when the process died. The
+    // detail is built on the stack: noting must not allocate.
+    char detail[support::flightrec::kDetailChars];
+    std::snprintf(detail, sizeof detail, "%s/%s/%s", fn.name().c_str(),
+                  regionSchemeName(options.scheme).c_str(),
+                  heuristicName(options.sched.heuristic).c_str());
+    support::flightrec::note("job", detail);
+
     if (auto *remarks = support::currentRemarkStream())
         remarks->setFunction(fn.name());
 
     PipelineResult result;
     const size_t original_ops = fn.totalOps();
-
-    // Per-stage peak-footprint telemetry, only when an allocation
-    // interposer is feeding memstat AND the caller opted in (stage
-    // windows reset the process-global peak, so the opt-in keeps
-    // concurrent whole-run measurements intact — see StageMemStats).
-    const bool measure_mem =
-        support::memstatActive() && support::memstatStageProfiling();
-    uint64_t stage_start =
-        measure_mem ? support::memstatResetWindow() : 0;
-    auto stageMemPeak = [&]() -> uint64_t {
-        const uint64_t peak = support::memstatWindowPeakBytes();
-        const uint64_t growth =
-            peak > stage_start ? peak - stage_start : 0;
-        stage_start = support::memstatResetWindow();
-        return growth;
-    };
 
     {
         SpanScope span("formation");
@@ -218,8 +211,6 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
         span.arg("regions",
                  static_cast<int64_t>(result.regions.regions().size()));
     }
-    if (measure_mem)
-        result.mem.formation_peak_bytes = stageMemPeak();
 
     result.region_stats = region::computeRegionStats(fn, result.regions);
     result.code_expansion = region::codeExpansionFactor(fn, original_ops);
@@ -233,8 +224,6 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
             span.arg("fn", fn.name());
         live = std::make_unique<analysis::Liveness>(fn);
     }
-    if (measure_mem)
-        result.mem.liveness_peak_bytes = stageMemPeak();
 
     SpanScope sched_span("schedule");
     if (sched_span.live())
@@ -256,10 +245,6 @@ runPipeline(ir::Function &fn, const PipelineOptions &options)
         result.schedule.regions.emplace(r.root(), std::move(rs));
     }
     sched_span.arg("ops", static_cast<int64_t>(scheduled_ops));
-    if (measure_mem)
-        result.mem.schedule_peak_bytes = stageMemPeak();
-    result.mem.sched_arena_high_water_bytes =
-        schedArenaHighWaterBytes();
     return result;
 }
 
@@ -298,12 +283,6 @@ runOneJob(const PipelineJob &job)
     if (span.live())
         span.arg("label",
                  job.label.empty() ? job.fn->name() : job.label);
-    // If this job never returns, the flight recorder's dump shows
-    // which function each worker was compiling when the process died.
-    support::flightrec::note("job",
-                             (job.label.empty() ? job.fn->name()
-                                                : job.label)
-                                 .c_str());
     // The stream is installed only around this job's pipeline run on
     // this worker thread, so every emitted remark belongs to exactly
     // this job whatever the pool interleaving.

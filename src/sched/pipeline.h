@@ -42,6 +42,16 @@ enum class RegionScheme {
                       ///< planned comparison point)
 };
 
+/** All six schemes, in the order sweeps and the fuzzer visit them. */
+inline constexpr RegionScheme kAllRegionSchemes[] = {
+    RegionScheme::BasicBlock,
+    RegionScheme::Slr,
+    RegionScheme::Superblock,
+    RegionScheme::Treegion,
+    RegionScheme::TreegionTailDup,
+    RegionScheme::Hyperblock,
+};
+
 /** @return display name of @p scheme. */
 std::string regionSchemeName(RegionScheme scheme);
 
@@ -81,24 +91,6 @@ bool parsePipelineOptions(const std::string &text,
                           PipelineOptions &out,
                           std::string *error = nullptr);
 
-/**
- * Peak heap footprint per pipeline stage, in bytes of growth above
- * the live bytes at stage entry. Filled only when an allocation
- * interposer feeds support/memstat.h AND the caller enabled
- * memstatSetStageProfiling (calibration and mem tests), and only
- * meaningfully when one thread compiles at a time — the window
- * counters are process-global. sched_arena_high_water_bytes is the
- * calling thread's scheduling-arena high-water mark and is filled
- * unconditionally.
- */
-struct StageMemStats
-{
-    uint64_t formation_peak_bytes = 0;
-    uint64_t liveness_peak_bytes = 0;
-    uint64_t schedule_peak_bytes = 0;
-    uint64_t sched_arena_high_water_bytes = 0;
-};
-
 /** Everything the experiments need from one pipeline run. */
 struct PipelineResult
 {
@@ -108,11 +100,15 @@ struct PipelineResult
     double estimated_time = 0.0;
     double code_expansion = 1.0;  ///< vs. the pre-formation function
     RegionSchedStats total_sched_stats;
-    StageMemStats mem;  ///< per-stage peak-footprint telemetry
 };
 
 /**
  * Run the pipeline on @p fn.
+ *
+ * This is where every compile is instrumented: one span per stage
+ * (formation, liveness, schedule) and one flight-recorder note, tag
+ * "job" with detail "<fn>/<scheme>/<heuristic>", so a crash dump
+ * names the compile each thread was in whichever tool ran it.
  *
  * Tail-duplicating schemes mutate @p fn (clone blocks, split profile
  * flow); clone the function first if the original is still needed.

@@ -92,28 +92,28 @@ drainPipe(int fd)
 
 /**
  * Compile @p fn under @p options as @p req asks and render the
- * deterministic result report — the bytes the cache stores. The
- * input function is never mutated (profile and pipeline both work on
- * one private clone), so verify mode can call this a second time and
- * demand bit-identical output. Wall time goes to @p compile_ms, NOT
- * into the body: it differs run to run, the body must not.
+ * deterministic result report — the bytes the cache stores. @p fn is
+ * the request's own freshly parsed function and nothing reads it
+ * afterwards: a request calls this once, on a miss or to recompile a
+ * verify_hits hit, so profile and pipeline mutate it in place. Wall
+ * time goes to @p compile_ms, NOT into the body: it differs run to
+ * run, the body must not.
  */
 std::string
-compileBody(const ir::Function &fn, size_t mem_words,
+compileBody(ir::Function &fn, size_t mem_words,
             const sched::PipelineOptions &options, const Request &req,
             double *compile_ms)
 {
     const auto start = std::chrono::steady_clock::now();
 
-    ir::Function work = fn.clone();
     if (req.profile) {
         workloads::ProfileOptions prof;
         prof.input_seed = req.profile_seed;
         prof.runs = req.profile_runs;
-        workloads::profileFunction(work, mem_words, prof);
+        workloads::profileFunction(fn, mem_words, prof);
     }
     const sched::PipelineResult result =
-        sched::runPipeline(work, options);
+        sched::runPipeline(fn, options);
     const auto problems = sched::verifyFunctionSchedule(
         result.schedule, options.model.issue_width);
 

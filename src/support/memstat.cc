@@ -66,20 +66,4 @@ memstatResetWindow() noexcept
     return live > 0 ? static_cast<uint64_t>(live) : 0;
 }
 
-namespace {
-std::atomic<bool> g_stage_profiling{false};
-} // namespace
-
-void
-memstatSetStageProfiling(bool enabled) noexcept
-{
-    g_stage_profiling.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-memstatStageProfiling() noexcept
-{
-    return g_stage_profiling.load(std::memory_order_relaxed);
-}
-
 } // namespace treegion::support

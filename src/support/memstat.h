@@ -10,11 +10,13 @@
  * never called, memstatActive() stays false, and every counter reads
  * zero.
  *
- * The window peak is process-global. Per-stage measurements (the
- * mem_estimate calibration, the per-stage numbers in PipelineResult)
- * are therefore only meaningful when exactly one thread is compiling;
- * the whole-process peak used by the memsched bench is meaningful
- * under any concurrency.
+ * The window peak is process-global: a window measures the whole
+ * process, not one job, so a reader opens it around work nothing
+ * else runs beside. The mem_estimate calibration
+ * (throughput_memsched --calibrate) and its pin
+ * (tests/mem_estimate_test.cc) open one around each compile run
+ * alone; the memsched frontier opens one around each whole batch.
+ * The library itself never resets it.
  */
 
 #ifndef TREEGION_SUPPORT_MEMSTAT_H
@@ -43,18 +45,6 @@ uint64_t memstatWindowPeakBytes() noexcept;
  * caller can report the window's peak growth as peak - start.
  */
 uint64_t memstatResetWindow() noexcept;
-
-/**
- * Opt runPipeline's per-stage footprint instrumentation in or out
- * (default: out). Stage measurement resets the process-global window
- * at every stage boundary, so it MUST stay off while a whole-run
- * window measurement is in progress or any other thread compiles —
- * enable it only for single-threaded calibration.
- */
-void memstatSetStageProfiling(bool enabled) noexcept;
-
-/** True when per-stage profiling was requested. */
-bool memstatStageProfiling() noexcept;
 
 } // namespace treegion::support
 

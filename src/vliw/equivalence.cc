@@ -37,7 +37,6 @@ checkEquivalence(ir::Function &original, ir::Function &transformed,
         report.detail = incompleteDetail("original", seq_orig);
         return report;
     }
-    report.seq_ops = seq_orig.ops_executed;
 
     const ExecResult seq_trans =
         &original == &transformed ? seq_orig

@@ -33,7 +33,6 @@ struct EquivalenceReport
     bool ok = false;
     bool incomplete = false;  ///< a limit was hit; nothing compared
     std::string detail;       ///< first mismatch, human-readable
-    uint64_t seq_ops = 0;     ///< sequential ops executed
     VliwResult vliw;          ///< the scheduled run, once one was made
 };
 

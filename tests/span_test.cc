@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/fuzz.h"
 #include "sched/pipeline.h"
 #include "sched/schedule_verifier.h"
 #include "support/build_info.h"
@@ -479,12 +480,14 @@ TEST(FlightRecTest, RingWrapsKeepingNewestEvents)
         ::testing::TempDir() + "/flightrec_wrap.jsonl";
     ASSERT_TRUE(support::flightrec::dumpToFile(path.c_str()));
     const std::string dump = readFile(path);
-    // The oldest notes were overwritten; the newest survived.
-    EXPECT_EQ(dump.find("\"a\":0,"), std::string::npos);
-    EXPECT_NE(
-        dump.find(support::strprintf(
-            "\"a\":%d", support::flightrec::kRingEvents + 49)),
-        std::string::npos);
+    // The oldest notes were overwritten; the newest survived. Match
+    // the tag too: other threads' rings hold events with a = 0 (every
+    // compile notes one).
+    const std::string wrap = "\"tag\":\"wrap\",\"detail\":\"\",\"a\":";
+    EXPECT_EQ(dump.find(wrap + "0,"), std::string::npos);
+    EXPECT_NE(dump.find(wrap + std::to_string(
+                                   support::flightrec::kRingEvents + 49)),
+              std::string::npos);
     ::unlink(path.c_str());
 }
 
@@ -500,6 +503,51 @@ TEST(FlightRecTest, ThreadsGetTheirOwnRings)
     const std::string dump = readFile(path);
     EXPECT_NE(dump.find("other-thread"), std::string::npos);
     EXPECT_NE(dump.find("main-thread"), std::string::npos);
+    ::unlink(path.c_str());
+}
+
+/**
+ * Every compile is noted where it runs, in runPipeline: a thread that
+ * runs one fuzz cell, or one plain runPipelineOnClone, leaves a "job"
+ * event naming <fn>/<scheme>/<heuristic>, whichever caller compiled.
+ */
+TEST(FlightRecTest, EveryCompileNotesItsFunctionSchemeAndHeuristic)
+{
+    const auto proxies = workloads::specint95Proxies();
+    const auto mod = workloads::buildProxy(proxies.front());
+    const ir::Function &fn = *mod->functions().front();
+
+    sched::PipelineOptions cell;
+    cell.scheme = sched::RegionScheme::Hyperblock;
+    cell.sched.heuristic = sched::Heuristic::WeightedCount;
+    fuzz::OracleOptions oracle;
+    oracle.data_max = proxies.front().params.data_max;
+    std::thread fuzz_cell([&] {
+        const fuzz::OracleFailure fail =
+            fuzz::checkCell(fn, mod->memWords(), cell, oracle);
+        EXPECT_FALSE(fail) << fail.oracle << ": " << fail.detail;
+    });
+    fuzz_cell.join();
+
+    sched::PipelineOptions plain;
+    plain.scheme = sched::RegionScheme::Slr;
+    plain.sched.heuristic = sched::Heuristic::ExitCount;
+    std::thread compile([&] { sched::runPipelineOnClone(fn, plain); });
+    compile.join();
+
+    const std::string path =
+        ::testing::TempDir() + "/flightrec_compiles.jsonl";
+    ASSERT_TRUE(support::flightrec::dumpToFile(path.c_str()));
+    const std::string dump = readFile(path);
+    for (const char *config : {"/hyper/weighted-count", "/slr/exit-count"}) {
+        const std::string detail = fn.name() + config;
+        ASSERT_LT(detail.size(),
+                  static_cast<size_t>(support::flightrec::kDetailChars));
+        EXPECT_NE(dump.find("\"tag\":\"job\",\"detail\":\"" + detail +
+                            "\""),
+                  std::string::npos)
+            << detail << " not in\n" << dump;
+    }
     ::unlink(path.c_str());
 }
 

@@ -27,12 +27,15 @@
  *                        to FILE as Chrome trace events
  *   --flight-rec FILE    dump the crash flight recorder here when a
  *                        worker panics or dies on a fatal signal —
- *                        the last events of every thread, so a crash
- *                        found by the campaign is diagnosable from
- *                        the artifact alone
+ *                        the last events of every thread (one "job"
+ *                        per compile, naming function, scheme and
+ *                        heuristic), so a crash found by the
+ *                        campaign is diagnosable from the artifact
+ *                        alone
  *   --verbose            per-program progress
  *
- * Exit status: 0 when every cell passed, 1 on any oracle failure.
+ * Exit status: 0 when every cell passed, 1 on any oracle failure or
+ * when the --trace-json file cannot be written.
  */
 
 #include <cstdio>
@@ -160,14 +163,15 @@ main(int argc, char **argv)
 
     if (trace_json.empty())
         return status;
-    if (support::writeChromeTraceFile(trace_json, spans.snapshot()))
-        std::fprintf(stderr,
-                     "trace written to %s (%llu spans dropped past the "
-                     "buffer cap)\n",
-                     trace_json.c_str(),
-                     static_cast<unsigned long long>(spans.dropped()));
-    else
+    if (!support::writeChromeTraceFile(trace_json, spans.snapshot())) {
         std::fprintf(stderr, "cannot write trace to %s\n",
                      trace_json.c_str());
+        return 1;
+    }
+    std::fprintf(stderr,
+                 "trace written to %s (%llu spans dropped past the "
+                 "buffer cap)\n",
+                 trace_json.c_str(),
+                 static_cast<unsigned long long>(spans.dropped()));
     return status;
 }

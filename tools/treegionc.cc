@@ -47,9 +47,10 @@
  *                        them to FILE as Chrome trace events (load
  *                        in chrome://tracing or perfetto)
  *   --flight-rec FILE    crash flight recorder: dump each thread's
- *                        ring of recent events (job starts, stage
- *                        entries) to FILE as JSONL on TG_PANIC or a
- *                        fatal signal
+ *                        ring of recent events (one "job" per
+ *                        compile, naming function, scheme and
+ *                        heuristic) to FILE as JSONL on TG_PANIC or
+ *                        a fatal signal
  *
  * Batch results are printed in deterministic input order — function
  * order x configuration order — whatever the thread count.
@@ -59,7 +60,6 @@
  * (--options "scheme=tree heuristic=gw width=4").
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -155,23 +155,9 @@ usage(const char *argv0)
 std::vector<sched::PipelineOptions>
 sweepConfigs(const sched::PipelineOptions &base)
 {
-    static const sched::RegionScheme schemes[] = {
-        sched::RegionScheme::BasicBlock,
-        sched::RegionScheme::Slr,
-        sched::RegionScheme::Superblock,
-        sched::RegionScheme::Treegion,
-        sched::RegionScheme::TreegionTailDup,
-        sched::RegionScheme::Hyperblock,
-    };
-    static const sched::Heuristic heuristics[] = {
-        sched::Heuristic::DependenceHeight,
-        sched::Heuristic::ExitCount,
-        sched::Heuristic::GlobalWeight,
-        sched::Heuristic::WeightedCount,
-    };
     std::vector<sched::PipelineOptions> configs;
-    for (const auto scheme : schemes) {
-        for (const auto heuristic : heuristics) {
+    for (const auto scheme : sched::kAllRegionSchemes) {
+        for (const auto heuristic : sched::kAllHeuristics) {
             sched::PipelineOptions options = base;
             options.scheme = scheme;
             options.sched.heuristic = heuristic;
@@ -529,21 +515,17 @@ main(int argc, char **argv)
     if (cli.print_ir)
         ir::printFunction(std::cout, fn);
 
-    ir::Function original = fn.clone();
     const double baseline = sched::estimateBaselineTime(fn);
-    const auto compile_start = std::chrono::steady_clock::now();
     // The scope covers only the main compilation, not the baseline
-    // estimate above, so the stream describes this run alone.
+    // estimate above, so the stream describes this run alone. fn stays
+    // the original; run.fn is what the schedule was built from.
     support::RemarkStream remarks;
-    const auto result = [&] {
+    sched::ClonedPipelineRun run = [&] {
         support::RemarkScope scope(
             cli.remarks_path.empty() ? nullptr : &remarks);
-        return sched::runPipeline(fn, cli.pipeline);
+        return sched::runPipelineOnClone(fn, cli.pipeline);
     }();
-    const double compile_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - compile_start)
-            .count();
+    const sched::PipelineResult &result = run.result;
     if (!cli.remarks_path.empty()) {
         if (!writeRemarks(cli.remarks_path, remarks.toJsonLines()))
             return finish(1);
@@ -581,10 +563,10 @@ main(int argc, char **argv)
                      result.total_sched_stats.exit_copies,
                      result.total_sched_stats.speculated_ops,
                      result.total_sched_stats.elided_ops,
-                     compile_ms);
+                     run.compile_ms);
     }
     if (cli.print_dot)
-        region::writeDot(std::cout, fn, result.regions,
+        region::writeDot(std::cout, run.fn, result.regions,
                          {false, true, mod->name()});
     if (cli.print_schedule) {
         for (const auto &[root, rs] : result.schedule.regions) {
@@ -599,7 +581,7 @@ main(int argc, char **argv)
         auto memory = workloads::makeInputMemory(
             mod->memWords(), cli.run_seed, 100);
         const auto report = vliw::checkEquivalence(
-            original, fn, result.schedule, memory);
+            fn, run.fn, result.schedule, memory);
         if (!report.ok) {
             std::fprintf(stderr, "equivalence FAILED: %s\n",
                          report.detail.c_str());
@@ -607,7 +589,7 @@ main(int argc, char **argv)
         }
         if (cli.run_ooo) {
             const auto ooo_run = ooo::runOutOfOrder(
-                fn, result.schedule, memory, cli.ooo_config);
+                run.fn, result.schedule, memory, cli.ooo_config);
             const std::string mismatch =
                 vliw::backendMismatch(ooo_run.arch, report.vliw);
             if (!mismatch.empty()) {
@@ -629,12 +611,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     ooo_run.stats.rename_stalls));
         } else {
-            const vliw::VliwResult &run = report.vliw;
             std::printf("run(seed=%llu): result %lld in %llu cycles "
                         "(sequential match confirmed)\n",
                         static_cast<unsigned long long>(cli.run_seed),
-                        static_cast<long long>(run.ret_value),
-                        static_cast<unsigned long long>(run.cycles));
+                        static_cast<long long>(report.vliw.ret_value),
+                        static_cast<unsigned long long>(
+                            report.vliw.cycles));
         }
     }
     return finish(sched_problems.empty() ? 0 : 1);
