@@ -5,9 +5,10 @@
         --trace 0 | tail -n 1 > result.json
     perfbench_check.py result.json --workload sweep --seed 1 --trace 0
 
-Run from the repo root. The run must be valid (correct: true) and is
-compared with the last entry in BENCH_perfbench.json that has the same
-workload, seed and trace flag.
+Run from any directory: BENCH_perfbench.json and BENCHMARK.json are
+read from the checkout that holds this script. The run must be valid
+(correct: true) and is compared with the last entry in
+BENCH_perfbench.json that has the same workload, seed and trace flag.
 
 Exact metrics must equal the entry's:
 
@@ -32,6 +33,7 @@ history error.
 
 import argparse
 import json
+import os
 import sys
 
 from median_norm import normalize
@@ -42,8 +44,9 @@ REAL_PREFIXES = ("ooo.ipc.",)
 REAL_NAMES = ("speedup_geomean", "code_expansion")
 REL_TOL = 1e-9
 TIMING_UNITS = ("us", "ms", "s", "1/s", "Mcycle/s")
-HISTORY = "BENCH_perfbench.json"
-BENCHMARK = "BENCHMARK.json"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HISTORY = os.path.join(ROOT, "BENCH_perfbench.json")
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 # Timing metrics too unsteady to gate, keyed (workload, metric) with
 # the reason; None stands for every workload, and a metric ending in

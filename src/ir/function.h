@@ -157,6 +157,9 @@ class Function
     /** @return one-past-the-max branch-target register index. */
     uint32_t numBtrs() const { return next_btr_; }
 
+    /** @return one past the last op id freshOpId() handed out. */
+    OpId numOpIds() const { return next_op_id_; }
+
     /** Reserve register name space at least up to the given counts. */
     void reserveRegs(uint32_t gprs, uint32_t preds, uint32_t btrs);
 

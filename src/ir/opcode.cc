@@ -16,9 +16,6 @@ static_assert(std::all_of(kOpcodeInfo.begin(), kOpcodeInfo.end(),
                           }),
               "an opcode needs more operands than an Op holds");
 
-const std::array<std::string_view, 6> kCmpNames = {"EQ", "NE", "LT",
-                                                   "LE", "GT", "GE"};
-
 } // namespace
 
 std::string_view
@@ -30,31 +27,7 @@ opcodeName(Opcode opcode)
 std::string_view
 cmpKindName(CmpKind kind)
 {
-    return kCmpNames[static_cast<size_t>(kind)];
-}
-
-bool
-parseOpcode(std::string_view name, Opcode &out)
-{
-    for (size_t i = 0; i < kNumOpcodes; ++i) {
-        if (kOpcodeInfo[i].name == name) {
-            out = static_cast<Opcode>(i);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseCmpKind(std::string_view name, CmpKind &out)
-{
-    for (size_t i = 0; i < kCmpNames.size(); ++i) {
-        if (kCmpNames[i] == name) {
-            out = static_cast<CmpKind>(i);
-            return true;
-        }
-    }
-    return false;
+    return kCmpKindNames[static_cast<size_t>(kind)];
 }
 
 CmpKind

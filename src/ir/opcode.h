@@ -154,6 +154,29 @@ std::string_view opcodeName(Opcode opcode);
 /** @return mnemonic suffix for @p kind ("EQ", "LT", ...). */
 std::string_view cmpKindName(CmpKind kind);
 
+/** Mnemonic suffixes of the comparison kinds, in CmpKind order. */
+inline constexpr std::array<std::string_view, 6> kCmpKindNames = {
+    "EQ", "NE", "LT", "LE", "GT", "GE"};
+
+/**
+ * The opcodes whose mnemonics start with each capital letter, at most
+ * four (the parser's lookup: a mnemonic is compared with a handful of
+ * names, not all of them); kNumOpcodes ends a short row.
+ */
+inline constexpr auto kOpcodesByInitial = [] {
+    std::array<std::array<uint8_t, 4>, 26> rows{};
+    for (auto &row : rows)
+        row.fill(static_cast<uint8_t>(kNumOpcodes));
+    for (size_t i = 0; i < kNumOpcodes; ++i) {
+        auto &row = rows[static_cast<size_t>(kOpcodeInfo[i].name[0] - 'A')];
+        size_t k = 0;
+        while (row[k] != kNumOpcodes)
+            ++k;  // a fifth name would not compile: out of bounds
+        row[k] = static_cast<uint8_t>(i);
+    }
+    return rows;
+}();
+
 /**
  * Parse an opcode mnemonic.
  *
@@ -161,10 +184,34 @@ std::string_view cmpKindName(CmpKind kind);
  * @param out parsed opcode on success
  * @return true when @p name names an opcode
  */
-bool parseOpcode(std::string_view name, Opcode &out);
+inline bool
+parseOpcode(std::string_view name, Opcode &out)
+{
+    if (name.empty() || name[0] < 'A' || name[0] > 'Z')
+        return false;
+    for (const uint8_t i : kOpcodesByInitial[name[0] - 'A']) {
+        if (i == kNumOpcodes)
+            break;
+        if (kOpcodeInfo[i].name == name) {
+            out = static_cast<Opcode>(i);
+            return true;
+        }
+    }
+    return false;
+}
 
 /** Parse a CMPP kind suffix; @return true on success. */
-bool parseCmpKind(std::string_view name, CmpKind &out);
+inline bool
+parseCmpKind(std::string_view name, CmpKind &out)
+{
+    for (size_t i = 0; i < kCmpKindNames.size(); ++i) {
+        if (kCmpKindNames[i] == name) {
+            out = static_cast<CmpKind>(i);
+            return true;
+        }
+    }
+    return false;
+}
 
 /** @return the complementary comparison (LT <-> GE, etc.). */
 CmpKind negateCmpKind(CmpKind kind);

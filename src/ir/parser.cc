@@ -1,7 +1,7 @@
 #include "ir/parser.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstdlib>
 #include <limits>
@@ -14,15 +14,23 @@ namespace treegion::ir {
 
 namespace {
 
-using support::startsWith;
 using support::strprintf;
 using support::trim;
+
+// Everything called per line or per token is inline: the parser reads
+// a few tens of bytes per op.
+
+inline bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
 
 /**
  * Split @p text on @p sep, dropping empty pieces, into @p out (a
  * buffer reused across lines: views into the input, no copies).
  */
-void
+inline void
 splitInto(std::string_view text, char sep,
           std::vector<std::string_view> &out)
 {
@@ -38,19 +46,49 @@ splitInto(std::string_view text, char sep,
     }
 }
 
-/** strtoull over a view (header numbers keep the C library's rules). */
-unsigned long long
-toUnsigned(std::string_view text)
+/**
+ * A header number: a whole, unsigned decimal token. Values past
+ * 2^64 - 1 read as 2^64 - 1, for the caller's range check.
+ */
+inline std::optional<uint64_t>
+parseDecimal(std::string_view tok)
 {
-    return std::strtoull(std::string(text).c_str(), nullptr, 10);
+    if (tok.empty())
+        return std::nullopt;
+    uint64_t value = 0;
+    for (const char c : tok) {
+        if (!isDigit(c))
+            return std::nullopt;
+        const auto digit = static_cast<uint64_t>(c - '0');
+        value = value > (UINT64_MAX - digit) / 10 ? UINT64_MAX
+                                                   : value * 10 + digit;
+    }
+    return value;
 }
 
-/** strtod over a view. */
-double
+/** strtod over a view (a weight keeps the C library's rules). */
+inline double
 toDouble(std::string_view text)
 {
-    return std::strtod(std::string(text).c_str(), nullptr);
+    char buf[64];
+    if (text.size() >= sizeof(buf))
+        return std::strtod(std::string(text).c_str(), nullptr);
+    std::copy(text.begin(), text.end(), buf);
+    buf[text.size()] = '\0';
+    return std::strtod(buf, nullptr);
 }
+
+/** How tokenize treats each byte of an op body. */
+enum class CharKind : uint8_t { Token, Separator, Single };
+
+constexpr std::array<CharKind, 256> kCharKinds = [] {
+    std::array<CharKind, 256> kinds{};
+    for (const unsigned char c : {' ', ',', '\t'})
+        kinds[c] = CharKind::Separator;
+    for (const unsigned char c : {'[', ']', '+', '?', ':'})
+        kinds[c] = CharKind::Single;
+    return kinds;
+}();
 
 /** Recursive-descent, line-oriented parser. */
 class Parser
@@ -65,16 +103,19 @@ class Parser
     run()
     {
         std::string_view line;
-        if (!nextLine(line) || !startsWith(line, "module "))
+        if (!nextLine(line) || !line.starts_with("module "))
             return fail("expected 'module <name> mem=<words>'");
         splitInto(line, ' ', fields_);
-        if (fields_.size() != 3 || !startsWith(fields_[2], "mem="))
+        if (fields_.size() != 3 || !fields_[2].starts_with("mem="))
             return fail("malformed module header");
         auto mod = std::make_unique<Module>(std::string(fields_[1]));
-        mod->setMemWords(toUnsigned(fields_[2].substr(4)));
+        const std::optional<uint64_t> mem = parseDecimal(fields_[2].substr(4));
+        if (!mem)
+            return fail(notDecimal(fields_[2]));
+        mod->setMemWords(*mem);
 
         while (nextLine(line)) {
-            if (!startsWith(line, "func @"))
+            if (!line.starts_with("func @"))
                 return fail("expected 'func @...'");
             if (!parseFunction(*mod, line))
                 return nullptr;
@@ -96,6 +137,13 @@ class Parser
     {
         fail(msg);
         return false;
+    }
+
+    /** The message for a header number @p field that is not one. */
+    static std::string
+    notDecimal(std::string_view field)
+    {
+        return "expected a decimal number in '" + std::string(field) + "'";
     }
 
     /** Fail on the block id token @p tok (bbN, N >= kMaxBlockIds). */
@@ -120,7 +168,7 @@ class Parser
                 trim(text_.substr(pos_, end - pos_));
             pos_ = end + 1;
             ++line_no_;
-            if (!line.empty() && !startsWith(line, "#")) {
+            if (!line.empty() && line[0] != '#') {
                 out = line;
                 return true;
             }
@@ -146,17 +194,32 @@ class Parser
         BlockId entry = kNoBlock;
         uint32_t gprs = 0;
         uint32_t preds = 0;
+        // A register count names the size of a register file.
+        const auto count = [&](std::string_view f, size_t prefix,
+                               uint32_t &out) {
+            const std::optional<uint64_t> n = parseDecimal(f.substr(prefix));
+            if (!n)
+                return failb(notDecimal(f));
+            if (*n > UINT32_MAX)
+                return failb("'" + std::string(f) + "' is out of range");
+            out = static_cast<uint32_t>(*n);
+            return true;
+        };
         for (size_t i = 2; i + 1 < fields_.size(); ++i) {
             const std::string_view f = fields_[i];
-            if (startsWith(f, "entry=bb")) {
-                const unsigned long long id = toUnsigned(f.substr(8));
-                if (id >= kMaxBlockIds)
+            if (f.starts_with("entry=bb")) {
+                const std::optional<uint64_t> id = parseDecimal(f.substr(8));
+                if (!id)
+                    return failb(notDecimal(f));
+                if (*id >= kMaxBlockIds)
                     return failBlockId(f.substr(6));
-                entry = static_cast<BlockId>(id);
-            } else if (startsWith(f, "gprs=")) {
-                gprs = static_cast<uint32_t>(toUnsigned(f.substr(5)));
-            } else if (startsWith(f, "preds=")) {
-                preds = static_cast<uint32_t>(toUnsigned(f.substr(6)));
+                entry = static_cast<BlockId>(*id);
+            } else if (f.starts_with("gprs=")) {
+                if (!count(f, 5, gprs))
+                    return false;
+            } else if (f.starts_with("preds=")) {
+                if (!count(f, 6, preds))
+                    return false;
             } else {
                 return failb("unknown func attribute: " + std::string(f));
             }
@@ -168,7 +231,7 @@ class Parser
         while (nextLine(line)) {
             if (line == "}")
                 break;
-            if (!startsWith(line, "block bb"))
+            if (!line.starts_with("block bb"))
                 return failb("expected 'block bb<N> ... {'");
             if (!parseBlock(fn, line, defined))
                 return false;
@@ -219,10 +282,12 @@ class Parser
         splitInto(header, ' ', fields_);
         if (fields_.size() < 3 || fields_.back() != "{")
             return failb("malformed block header");
-        const unsigned long long raw = toUnsigned(fields_[1].substr(2));
-        if (raw >= kMaxBlockIds)
+        const std::optional<uint64_t> raw = parseDecimal(fields_[1].substr(2));
+        if (!raw)
+            return failb(notDecimal(fields_[1]));
+        if (*raw >= kMaxBlockIds)
             return failBlockId(fields_[1]);
-        const BlockId id = static_cast<BlockId>(raw);
+        const BlockId id = static_cast<BlockId>(*raw);
         if (!reserveBlocks(fn, id))
             return false;
         if (id < defined.size() && defined[id])
@@ -232,16 +297,17 @@ class Parser
         defined[id] = true;
         BasicBlock &b = fn.block(id);
 
-        std::vector<double> edge_weights;
+        std::vector<double> &edge_weights = b.edgeWeights();
         for (size_t i = 2; i + 1 < fields_.size(); ++i) {
             const std::string_view f = fields_[i];
-            if (startsWith(f, "weight=")) {
+            if (f.starts_with("weight=")) {
                 b.setWeight(toDouble(f.substr(7)));
-            } else if (startsWith(f, "edges=[")) {
+            } else if (f.starts_with("edges=[")) {
                 std::string_view inner = f.substr(7);
                 if (!inner.empty() && inner.back() == ']')
                     inner.remove_suffix(1);
                 splitInto(inner, ',', toks_);
+                edge_weights.reserve(edge_weights.size() + toks_.size());
                 for (const std::string_view piece : toks_)
                     edge_weights.push_back(toDouble(piece));
             } else {
@@ -249,25 +315,45 @@ class Parser
             }
         }
 
+        // Each op is parsed where it will live, in storage sized for
+        // the block's op lines (an upper bound when the text is bad).
+        std::vector<Op> &ops = b.ops();
+        ops.reserve(countOpLines());
+        bool terminated = false;
         std::string_view line;
         while (nextLine(line)) {
             if (line == "}")
                 break;
-            Op op;
+            Op &op = ops.emplace_back();
             if (!parseOp(fn, line, op))
                 return false;
-            if (op.isBranch()) {
-                if (b.hasTerminator())
-                    return failb("multiple terminators in block");
-                fn.appendTerminator(id, std::move(op));
-            } else {
-                if (b.hasTerminator())
-                    return failb("op after terminator");
-                fn.appendOp(id, std::move(op));
+            if (terminated) {
+                return failb(op.isBranch() ? "multiple terminators in block"
+                                           : "op after terminator");
             }
+            terminated = op.isBranch();
+            op.id = fn.freshOpId();
+            op.home = id;
         }
-        b.edgeWeights() = std::move(edge_weights);
         return true;
+    }
+
+    /** The op lines from here to the block's closing brace. */
+    size_t
+    countOpLines() const
+    {
+        size_t n = 0;
+        for (size_t pos = pos_; pos < text_.size();) {
+            size_t end = text_.find('\n', pos);
+            if (end == std::string_view::npos)
+                end = text_.size();
+            const std::string_view line = trim(text_.substr(pos, end - pos));
+            pos = end + 1;
+            if (line == "}")
+                break;
+            n += !line.empty() && line[0] != '#';
+        }
+        return n;
     }
 
     /** Parse a register name like r3 / p1 / b2. */
@@ -281,13 +367,13 @@ class Parser
             cls = RegClass::Gpr;
         else if (tok[0] == 'p')
             cls = RegClass::Pred;
-        else if (tok[0] == 'b' && !startsWith(tok, "bb"))
+        else if (tok[0] == 'b' && tok[1] != 'b')
             cls = RegClass::Btr;
         else
             return std::nullopt;
         uint32_t idx = 0;
         for (char c : tok.substr(1)) {
-            if (!std::isdigit(static_cast<unsigned char>(c)))
+            if (!isDigit(c))
                 return std::nullopt;
             idx = idx * 10 + static_cast<uint32_t>(c - '0');
         }
@@ -304,7 +390,7 @@ class Parser
         if (i == tok.size())
             return std::nullopt;
         for (; i < tok.size(); ++i) {
-            if (!std::isdigit(static_cast<unsigned char>(tok[i])))
+            if (!isDigit(tok[i]))
                 return std::nullopt;
         }
         int64_t value = 0;
@@ -325,12 +411,12 @@ class Parser
     {
         if (tok == "fallthru")
             return kNoBlock;
-        if (startsWith(tok, "bb")) {
+        if (tok.starts_with("bb")) {
             uint64_t idx = 0;
             if (tok.size() < 3)
                 return std::nullopt;
             for (char c : tok.substr(2)) {
-                if (!std::isdigit(static_cast<unsigned char>(c)))
+                if (!isDigit(c))
                     return std::nullopt;
                 idx = std::min<uint64_t>(
                     idx * 10 + static_cast<uint64_t>(c - '0'),
@@ -355,16 +441,14 @@ class Parser
                 toks_.push_back(text.substr(start, end - start));
         };
         for (size_t i = 0; i < text.size(); ++i) {
-            const char c = text[i];
-            if (c == ' ' || c == ',' || c == '\t') {
-                flush(i);
-                start = i + 1;
-            } else if (c == '[' || c == ']' || c == '+' || c == '?' ||
-                       c == ':') {
-                flush(i);
+            const CharKind kind =
+                kCharKinds[static_cast<unsigned char>(text[i])];
+            if (kind == CharKind::Token)
+                continue;
+            flush(i);
+            if (kind == CharKind::Single)
                 toks_.push_back(text.substr(i, 1));
-                start = i + 1;
-            }
+            start = i + 1;
         }
         flush(text.size());
     }

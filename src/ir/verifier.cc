@@ -1,7 +1,7 @@
 #include "ir/verifier.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
 
 #include "support/string_utils.h"
 
@@ -11,10 +11,30 @@ namespace {
 
 using support::strprintf;
 
+/** Test and set bit @p i of @p words; @return its old value. */
+bool
+testAndSet(uint64_t *words, size_t i)
+{
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    const bool was = (words[i / 64] & bit) != 0;
+    words[i / 64] |= bit;
+    return was;
+}
+
+/**
+ * One pass over a function with dense scratch: a bit per op id below
+ * the function's op-id counter, then a bit per block id. Ids at or
+ * past the counter (hand-built ops) go to a list, so a repeat among
+ * them is still a duplicate.
+ */
 class Verifier
 {
   public:
-    Verifier(Function &fn, VerifyLevel level) : fn_(fn), level_(level) {}
+    Verifier(Function &fn, VerifyLevel level)
+        : fn_(fn), level_(level), op_words_((fn.numOpIds() + 63) / 64),
+          bits_(op_words_ + (fn.numBlockIds() + 63) / 64, 0)
+    {
+    }
 
     std::vector<std::string>
     run()
@@ -23,11 +43,17 @@ class Verifier
             err("missing entry block");
             return problems_;
         }
-        fn_.forEachBlock([&](const BasicBlock &b) { checkBlock(b); });
+        // One pass over the ops: a block's schedulable checks run while
+        // its ops are at hand, and their problems are held back to
+        // follow the reachability ones.
+        fn_.forEachBlock([&](const BasicBlock &b) {
+            checkBlock(b);
+            if (level_ == VerifyLevel::Schedulable)
+                checkSchedulable(b);
+        });
         checkReachability();
-        if (level_ == VerifyLevel::Schedulable)
-            fn_.forEachBlock(
-                [&](const BasicBlock &b) { checkSchedulable(b); });
+        for (std::string &msg : schedulable_problems_)
+            problems_.push_back(std::move(msg));
         return problems_;
     }
 
@@ -36,6 +62,12 @@ class Verifier
     err(std::string msg)
     {
         problems_.push_back(std::move(msg));
+    }
+
+    void
+    schedErr(std::string msg)
+    {
+        schedulable_problems_.push_back(std::move(msg));
     }
 
     void
@@ -58,7 +90,7 @@ class Verifier
                 err(where(op) + ": branch op must be the terminator");
             if (op.home != b.id())
                 err(where(op) + ": op.home does not match its block");
-            if (!op_ids_.insert(op.id).second)
+            if (!noteOpId(op.id))
                 err(where(op) + ": duplicate op id");
             checkOpShape(b, op);
         }
@@ -200,25 +232,39 @@ class Verifier
         }
     }
 
+    /** Record op id @p id; @return false when it was seen before. */
+    bool
+    noteOpId(OpId id)
+    {
+        if (id < fn_.numOpIds())
+            return !testAndSet(bits_.data(), id);
+        if (std::find(stray_ids_.begin(), stray_ids_.end(), id) !=
+            stray_ids_.end())
+            return false;
+        stray_ids_.push_back(id);
+        return true;
+    }
+
     void
     checkReachability()
     {
-        std::unordered_set<BlockId> seen;
-        std::vector<BlockId> stack = {fn_.entry()};
+        // Marked when pushed, so the stack never holds more than one
+        // entry per block id.
+        uint64_t *seen = bits_.data() + op_words_;
+        std::vector<BlockId> stack;
+        stack.reserve(fn_.numBlockIds());
+        testAndSet(seen, fn_.entry());
+        stack.push_back(fn_.entry());
         while (!stack.empty()) {
             const BlockId id = stack.back();
             stack.pop_back();
-            if (!seen.insert(id).second)
-                continue;
-            if (!fn_.hasBlock(id))
-                continue;
             for (BlockId succ : fn_.block(id).successors()) {
-                if (succ != kNoBlock)
+                if (fn_.hasBlock(succ) && !testAndSet(seen, succ))
                     stack.push_back(succ);
             }
         }
         fn_.forEachBlock([&](const BasicBlock &b) {
-            if (!seen.count(b.id()))
+            if (!(seen[b.id() / 64] >> (b.id() % 64) & 1))
                 err(strprintf("bb%u unreachable from entry", b.id()));
         });
     }
@@ -229,49 +275,51 @@ class Verifier
     {
         if (!b.hasTerminator())
             return;  // checkBlock already reported it
-        // Collect predicate defs in this block.
-        std::unordered_map<uint32_t, size_t> pred_def_idx;
-        for (size_t i = 0; i < b.ops().size(); ++i) {
-            const Op &op = b.ops()[i];
+        // A conditional branch's condition must be some CMPP's
+        // destination index in this block.
+        const Op &term = b.terminator();
+        const bool conditional =
+            term.opcode == Opcode::BRCT || term.opcode == Opcode::BRCF;
+        const Reg cond = term.srcs.empty() ? Reg{} : term.srcs[0].reg;
+        bool cond_defined = false;
+        for (const Op &op : b.ops()) {
             if (op.guard) {
-                err(strprintf("bb%u op%u: guards are a scheduler "
+                schedErr(strprintf("bb%u op%u: guards are a scheduler "
                               "output, not an input", b.id(), op.id));
             }
             if (op.opcode == Opcode::PBR || op.opcode == Opcode::PSET ||
                 op.opcode == Opcode::PCLR ||
                 op.opcode == Opcode::CMPPA ||
                 op.opcode == Opcode::CMPPO) {
-                err(strprintf("bb%u op%u: %s is a scheduler output",
+                schedErr(strprintf("bb%u op%u: %s is a scheduler output",
                               b.id(), op.id,
                               std::string(opcodeName(op.opcode))
                                   .c_str()));
             }
             if (op.opcode == Opcode::CMPP) {
                 if (op.dsts.size() != 1) {
-                    err(strprintf("bb%u op%u: sequential CMPP must have "
+                    schedErr(strprintf("bb%u op%u: sequential CMPP must have "
                                   "one destination", b.id(), op.id));
                 }
                 for (const Reg &d : op.dsts)
-                    pred_def_idx[d.idx] = i;
+                    cond_defined |= d.idx == cond.idx;
             }
             // Predicate uses may only be block terminator conditions.
             if (!op.isBranch()) {
                 op.forEachUsedReg([&](const Reg &use) {
                     if (use.cls == RegClass::Pred)
-                        err(strprintf("bb%u op%u: predicate used by a "
+                        schedErr(strprintf("bb%u op%u: predicate used by a "
                                       "non-branch op", b.id(), op.id));
                 });
             }
         }
-        const Op &term = b.terminator();
-        if (term.opcode == Opcode::BRCT || term.opcode == Opcode::BRCF) {
+        if (conditional) {
             if (term.targets.size() != 2) {
-                err(strprintf("bb%u: sequential conditional branch "
+                schedErr(strprintf("bb%u: sequential conditional branch "
                               "needs taken and fall targets", b.id()));
             }
-            const Reg cond = term.srcs.empty() ? Reg{} : term.srcs[0].reg;
-            if (!pred_def_idx.count(cond.idx)) {
-                err(strprintf("bb%u: branch condition p%u not defined "
+            if (!cond_defined) {
+                schedErr(strprintf("bb%u: branch condition p%u not defined "
                               "by a CMPP in the same block", b.id(),
                               cond.idx));
             }
@@ -279,7 +327,7 @@ class Verifier
         if (term.opcode == Opcode::MWBR) {
             for (size_t i = 0; i < term.caseValues.size(); ++i) {
                 if (term.caseValues[i] != static_cast<int64_t>(i))
-                    err(strprintf("bb%u: sequential MWBR cases must be "
+                    schedErr(strprintf("bb%u: sequential MWBR cases must be "
                                   "dense 0..n-1", b.id()));
             }
         }
@@ -288,7 +336,10 @@ class Verifier
     Function &fn_;
     VerifyLevel level_;
     std::vector<std::string> problems_;
-    std::unordered_set<OpId> op_ids_;
+    std::vector<std::string> schedulable_problems_;
+    size_t op_words_;              ///< words of op-id bits in bits_
+    std::vector<uint64_t> bits_;   ///< op-id bits, then block-id bits
+    std::vector<OpId> stray_ids_;  ///< op ids past the counter
 };
 
 } // namespace

@@ -21,17 +21,6 @@ splitString(std::string_view text, char sep)
     return out;
 }
 
-std::string_view
-trim(std::string_view text)
-{
-    const char *ws = " \t\r\n";
-    const size_t begin = text.find_first_not_of(ws);
-    if (begin == std::string_view::npos)
-        return {};
-    const size_t end = text.find_last_not_of(ws);
-    return text.substr(begin, end - begin + 1);
-}
-
 bool
 startsWith(std::string_view text, std::string_view prefix)
 {

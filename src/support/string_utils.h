@@ -15,8 +15,22 @@ namespace treegion::support {
 /** Split @p text on @p sep, dropping empty pieces. */
 std::vector<std::string> splitString(std::string_view text, char sep);
 
-/** Strip leading and trailing whitespace. */
-std::string_view trim(std::string_view text);
+/** Strip leading and trailing spaces, tabs, CRs and LFs (inline: the
+ * IR parser calls it on every line). */
+inline std::string_view
+trim(std::string_view text)
+{
+    const auto space = [](char c) {
+        return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+    };
+    size_t begin = 0;
+    size_t end = text.size();
+    while (begin < end && space(text[begin]))
+        ++begin;
+    while (end > begin && space(text[end - 1]))
+        --end;
+    return text.substr(begin, end - begin);
+}
 
 /** True if @p text begins with @p prefix. */
 bool startsWith(std::string_view text, std::string_view prefix);

@@ -16,16 +16,11 @@ MachineState::MachineState(uint32_t num_gprs, uint32_t num_preds,
 size_t
 MachineState::wrapSlow(int64_t addr, bool is_store)
 {
-    const auto size = static_cast<int64_t>(memory_.size());
-    int64_t wrapped = addr % size;
-    if (wrapped < 0)
-        wrapped += size;
-    if (wrapped != addr) {
-        ++wrapped_;
-        if (is_store)
-            ++wrapped_stores_;
-    }
-    return static_cast<size_t>(wrapped);
+    // Only out-of-range addresses come here.
+    ++wrapped_;
+    if (is_store)
+        ++wrapped_stores_;
+    return wrapAddress(addr, memory_.size());
 }
 
 } // namespace treegion::vliw

@@ -1,13 +1,13 @@
 /**
  * @file
- * Architectural state shared by the sequential interpreter and the
- * VLIW schedule simulator: the three register files and word-
- * addressed data memory.
+ * Architectural state of the VLIW schedule simulator: the three
+ * register files and word-addressed data memory (the out-of-order
+ * backend keeps only the memory).
  *
  * Loads wrap out-of-range addresses modulo the memory size, modeling
  * Play-Doh dismissible (non-faulting) loads so speculated loads are
- * always safe; both execution engines use identical semantics so
- * results stay comparable. Stores that wrap are counted, which lets
+ * always safe; every execution engine, the sequential interpreter
+ * included, wraps through wrapAddress so results stay comparable. Stores that wrap are counted, which lets
  * tests assert that non-speculative code never goes out of bounds.
  */
 
@@ -22,6 +22,24 @@
 #include "support/logging.h"
 
 namespace treegion::vliw {
+
+/**
+ * The word that address @p addr names in a @p words-word memory: the
+ * address itself when in range, else its value modulo the size
+ * (dismissible accesses wrap instead of faulting).
+ */
+inline size_t
+wrapAddress(int64_t addr, size_t words)
+{
+    // In range is the common case: no division.
+    if (static_cast<uint64_t>(addr) < words)
+        return static_cast<size_t>(addr);
+    const auto size = static_cast<int64_t>(words);
+    int64_t wrapped = addr % size;
+    if (wrapped < 0)
+        wrapped += size;
+    return static_cast<size_t>(wrapped);
+}
 
 /** Register files plus data memory. */
 class MachineState

@@ -1,18 +1,20 @@
 /**
  * @file
- * Operation semantics shared by every execution engine.
+ * Operation semantics shared by the schedule engines.
  *
- * The sequential interpreter, the in-order VLIW simulator and the
- * out-of-order backend all execute the same Play-Doh repertoire; this
- * header holds the single definition of what each op *does* so the
- * engines can only differ in *when* effects become visible:
+ * The in-order VLIW simulator and the out-of-order backend execute
+ * the same Play-Doh repertoire; this header holds the single
+ * definition of what each op *does* so the engines can only differ in
+ * *when* effects become visible. (The sequential interpreter runs a
+ * decoded form of the function, vliw/interpreter.h, computing with
+ * the same ir::evalAlu and ir::evalCmp; the equivalence oracle checks
+ * every schedule engine against it.)
  *
  *  - execDataOp() evaluates a non-branch op against caller-supplied
  *    register reads, performs memory effects immediately, and emits
  *    register writes through a callback carrying the visibility delay
- *    (the MultiOp latency). The interpreter applies writes at once;
- *    the VLIW simulator defers them onto its pending list; the OoO
- *    backend writes renamed physical registers.
+ *    (the MultiOp latency). The VLIW simulator defers them onto its
+ *    pending list; the OoO backend writes renamed physical registers.
  *  - evalBranch() decides whether a branch fires, which target slot
  *    it selects, and the RET value, without touching any schedule
  *    structures (the schedule engines share the exit lookup,
@@ -24,9 +26,7 @@
  * predicate reads true, except CMPP, which writes guard AND cmp /
  * guard AND NOT cmp unconditionally (the HPL-PD unconditional-type
  * compare), and CMPPA/CMPPO, whose partial wired-AND/OR updates are
- * keyed on the comparison alone. Sequential IR carries no guards, so
- * the interpreter sees identical behaviour to its historical
- * unguarded switch.
+ * keyed on the comparison alone.
  */
 
 #ifndef TREEGION_VLIW_OP_SEMANTICS_H
@@ -165,9 +165,9 @@ struct BranchOutcome
  * Decide a branch op (BRU/BRCT/BRCF/MWBR/RET).
  *
  * BRU always fires slot 0. BRCT/BRCF read their predicate source and
- * fire slot 0 when taken; not-taken is kNone (the sequential
- * interpreter maps that to the fall-through slot, the schedule
- * simulators to "no exit"). MWBR and RET honour their guard; an MWBR
+ * fire slot 0 when taken; not-taken is kNone ("no exit" to the
+ * schedule simulators; the sequential interpreter takes the
+ * fall-through slot). MWBR and RET honour their guard; an MWBR
  * whose selector matches no case reports kMalformedMwbr so each
  * engine can choose between halting (sequential fuzz reductions) and
  * panicking (verified schedules).

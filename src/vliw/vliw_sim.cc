@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "support/logging.h"
+#include "vliw/machine_state.h"
 #include "vliw/op_semantics.h"
 
 namespace treegion::vliw {

@@ -9,13 +9,13 @@ profileFunction(ir::Function &fn, size_t mem_words,
                 const ProfileOptions &options)
 {
     ProfileSummary summary;
+    vliw::SequentialProgram program(fn);
     vliw::ExecutionCounts counts(fn);
+    std::vector<int64_t> memory(mem_words);
     for (int run = 0; run < options.runs; ++run) {
-        auto memory = makeInputMemory(
-            mem_words, options.input_seed * 0x9e3779b9ULL + run,
-            options.data_max);
-        const vliw::ExecResult result =
-            vliw::runSequential(fn, std::move(memory), {}, &counts);
+        fillInputMemory(memory, options.input_seed * 0x9e3779b9ULL + run,
+                        options.data_max);
+        const vliw::ExecResult result = program.run(memory, {}, &counts);
         if (result.completed) {
             ++summary.completed_runs;
             summary.total_ops += result.ops_executed;

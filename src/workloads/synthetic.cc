@@ -407,12 +407,19 @@ generateProgram(const std::string &name, const GenParams &params)
 std::vector<int64_t>
 makeInputMemory(size_t mem_words, uint64_t seed, int data_max)
 {
-    TG_ASSERT(mem_words >= kMinInputMemWords);
     std::vector<int64_t> memory(mem_words, 0);
-    Rng rng(seed);
-    rng.fillRange(memory.data(), mem_words - kReservedWords, 0,
-                  data_max - 1);
+    fillInputMemory(memory, seed, data_max);
     return memory;
+}
+
+void
+fillInputMemory(std::vector<int64_t> &memory, uint64_t seed, int data_max)
+{
+    TG_ASSERT(memory.size() >= kMinInputMemWords);
+    const size_t data = memory.size() - kReservedWords;
+    Rng rng(seed);
+    rng.fillRange(memory.data(), data, 0, data_max - 1);
+    std::fill(memory.begin() + data, memory.end(), 0);
 }
 
 } // namespace treegion::workloads

@@ -134,6 +134,11 @@ std::unique_ptr<ir::Module> generateProgram(const std::string &name,
 std::vector<int64_t> makeInputMemory(size_t mem_words, uint64_t seed,
                                      int data_max);
 
+/** Overwrite @p memory with makeInputMemory(memory.size(), @p seed,
+ * @p data_max)'s image, reusing its storage. */
+void fillInputMemory(std::vector<int64_t> &memory, uint64_t seed,
+                     int data_max);
+
 } // namespace treegion::workloads
 
 #endif // TREEGION_WORKLOADS_SYNTHETIC_H

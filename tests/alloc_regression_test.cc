@@ -20,7 +20,8 @@
  *
  * A fourth pins the schedule simulators: the in-order engine and the
  * out-of-order backend allocate per run, never per cycle, op or
- * region transition.
+ * region transition. A fifth pins a cold request's other passes
+ * (parse, IR verify, profile, schedule verify) the same way.
  *
  * Remarks and tracing stay disabled here: both are opt-in observers
  * that legitimately allocate, and the steady-state property concerns
@@ -33,6 +34,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,11 +42,14 @@
 #include "analysis/liveness.h"
 #include "ir/function.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
+#include "ir/verifier.h"
 #include "ooo/ooo_sim.h"
 #include "region/formation.h"
 #include "sched/hyperblock_lowering.h"
 #include "sched/list_scheduler.h"
 #include "sched/pipeline.h"
+#include "sched/schedule_verifier.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
 #include "support/spans.h"
@@ -327,6 +332,63 @@ TEST(AllocRegression, CloneAndLoweringAllocationsIgnoreOpCount)
             << (hyper ? "lowerHyperblock" : "lowerRegion")
             << " allocates per op";
     }
+}
+
+/**
+ * The cold request's passes outside the compile pipeline allocate per
+ * function, block or region, never per op: the IR verifier, the
+ * profiler and the schedule verifier allocate as often on a function
+ * as on a copy with every block body doubled, and so does parsing the
+ * copy's text, whose blocks are sized before their ops are read.
+ */
+TEST(AllocRegression, ColdPathPassesIgnoreOpCount)
+{
+    workloads::GenParams p;
+    p.seed = 11;
+    p.top_units = 8;
+    p.mem_words = 1024;
+    auto mod = workloads::generateProgram("x", p);
+    ir::Function &fn = mod->function("main");
+    workloads::profileFunction(fn, p.mem_words);
+    ir::Function doubled = withDoubledBodies(fn);
+    ASSERT_GT(doubled.totalOps(), fn.totalOps() * 3 / 2);
+
+    const auto verify = [](ir::Function &f) {
+        return allocationsOf([&] {
+            EXPECT_TRUE(
+                ir::verifyFunction(f, ir::VerifyLevel::Schedulable).empty());
+        });
+    };
+    EXPECT_EQ(verify(fn), verify(doubled)) << "verifyFunction";
+
+    const auto profile = [&](ir::Function &f) {
+        return allocationsOf(
+            [&] { workloads::profileFunction(f, p.mem_words); });
+    };
+    EXPECT_EQ(profile(fn), profile(doubled)) << "profileFunction";
+
+    PipelineOptions options;
+    options.scheme = RegionScheme::TreegionTailDup;
+    options.model = MachineModel::custom(4);
+    const ClonedPipelineRun run = runPipelineOnClone(fn, options);
+    const ClonedPipelineRun run2 = runPipelineOnClone(doubled, options);
+    const auto verifySchedule = [](const FunctionSchedule &s) {
+        return allocationsOf(
+            [&] { EXPECT_TRUE(verifyFunctionSchedule(s, 4).empty()); });
+    };
+    EXPECT_EQ(verifySchedule(run.result.schedule),
+              verifySchedule(run2.result.schedule))
+        << "verifyFunctionSchedule";
+
+    const auto parse = [](const ir::Function &f) {
+        std::ostringstream text;
+        text << "module m mem=1024\n";
+        ir::printFunction(text, f);
+        const std::string source = text.str();
+        return allocationsOf(
+            [&] { EXPECT_NE(ir::parseModule(source, nullptr), nullptr); });
+    };
+    EXPECT_EQ(parse(fn), parse(doubled)) << "parseModule";
 }
 
 /**

@@ -323,8 +323,8 @@ mutatedFile(const std::string &path, const std::string &from,
 TEST(Verifier, RejectsRegistersPastTheDeclaredCounts)
 {
     // Both used to abort the process in the register files sized by
-    // gprs=: a source past the count, and a header whose gprs= was
-    // mangled away (so every GPR is out of range).
+    // gprs=: a source past the count, and a header without gprs= (so
+    // every GPR is out of range).
     const struct
     {
         std::string text;
@@ -334,7 +334,7 @@ TEST(Verifier, RejectsRegistersPastTheDeclaredCounts)
                      "r86 = OR r28, r43", "r86 = OR r248, r43"),
          "source r248 is out of range (gprs=187)"},
         {mutatedFile(TREEGION_EXAMPLES_DIR "/sum_loop.tir",
-                     "entry=bb0 gprs=16", "entry=bbrs=16"),
+                     "entry=bb0 gprs=16", "entry=bb0"),
          "destination r0 is out of range (gprs=0)"},
     };
     for (const auto &c : cases) {
@@ -382,6 +382,59 @@ TEST(Verifier, ChecksPredicateAndGuardIndices)
     EXPECT_TRUE(has("source r2 is out of range (gprs=2)"));
     EXPECT_FALSE(has("b9"));
     EXPECT_EQ(problems.size(), 3u);
+}
+
+TEST(Verifier, ReportsDuplicateOpIdsOnEitherSideOfTheCounter)
+{
+    // The verifier keeps a bit per op id below the function's counter;
+    // ids a hand edit put past it are still checked for repeats.
+    Function fn("f");
+    const BlockId a = fn.createBlock();
+    fn.setEntry(a);
+    fn.reserveRegs(4, 0, 0);
+    for (uint32_t r = 0; r < 4; ++r)
+        fn.appendOp(a, makeMovi(gpr(r), r));
+    fn.appendTerminator(a, makeRet(Operand::makeImm(0)));
+    ASSERT_EQ(fn.numOpIds(), 5u);
+    std::vector<Op> &ops = fn.block(a).ops();
+    ops[1].id = 0;     // repeats op0
+    ops[2].id = 900;   // past the counter, once
+    ops[3].id = 4000;  // past the counter...
+    ops[4].id = 4000;  // ...twice
+    const auto problems = verifyFunction(fn, VerifyLevel::Structural);
+    ASSERT_EQ(problems.size(), 2u);
+    EXPECT_EQ(problems[0], "bb0 op0 (r1 = MOVI 1): duplicate op id");
+    EXPECT_EQ(problems[1], "bb0 op4000 (RET 0): duplicate op id");
+}
+
+TEST(Verifier, SchedulableProblemsFollowTheStructuralOnes)
+{
+    // The checks share one pass over the blocks, but the problems keep
+    // their order: every block's structural ones, reachability, then
+    // every block's schedulable ones.
+    Function fn("f");
+    const BlockId a = fn.createBlock();
+    const BlockId b = fn.createBlock();
+    const BlockId dead = fn.createBlock();
+    fn.setEntry(a);
+    fn.reserveRegs(2, 2, 0);
+    Op guarded = makeMovi(gpr(0), 1);
+    guarded.guard = pred(0);
+    fn.appendOp(a, guarded);
+    fn.appendTerminator(a, makeBru(b));
+    fn.appendOp(b, makeMovi(gpr(5), 1));
+    fn.appendTerminator(b, makeRet(Operand::makeImm(0)));
+    fn.appendTerminator(dead, makeBrct(pred(1), a, b));
+    const auto problems = verifyFunction(fn, VerifyLevel::Schedulable);
+    ASSERT_EQ(problems.size(), 5u);
+    EXPECT_EQ(problems[0], "bb1 op2 (r5 = MOVI 1): destination r5 is out "
+                           "of range (gprs=2)");
+    EXPECT_EQ(problems[1], "bb2 unreachable from entry");
+    EXPECT_EQ(problems[2], "bb0 op0: guards are a scheduler output, not "
+                           "an input");
+    EXPECT_EQ(problems[3], "bb0 op0: predicate used by a non-branch op");
+    EXPECT_EQ(problems[4], "bb2: branch condition p1 not defined by a "
+                           "CMPP in the same block");
 }
 
 TEST(Module, FunctionsByName)

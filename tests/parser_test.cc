@@ -136,6 +136,100 @@ TEST(Parser, RejectsOpsPastTheOperandCapacity)
             .empty());
 }
 
+/**
+ * sum_loop.tir (the first function only) with @p from replaced by
+ * @p to, parsed; the error names the line and the whole token.
+ */
+std::string
+headerError(const std::string &from, const std::string &to)
+{
+    std::string text = R"(module sum_loop mem=1024
+func @main entry=bb0 gprs=16 preds=4 {
+  block bb0 weight=1 edges=[1] {
+    r0 = MOVI 0
+    BRU bb2
+  }
+  block bb2 weight=1 {
+    RET r0
+  }
+}
+)";
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::string error;
+    EXPECT_EQ(parseModule(text, &error), nullptr) << to;
+    return error;
+}
+
+// A header number is a whole decimal token. strtoull used to read the
+// digits it could and drop the rest: entry=bbzz was bb0, block bb2x
+// defined bb2 and gprs=1x0 declared one GPR.
+TEST(Parser, EntryMustBeADecimalBlockId)
+{
+    EXPECT_EQ(headerError("entry=bb0", "entry=bbzz"),
+              "line 2: expected a decimal number in 'entry=bbzz'");
+    EXPECT_EQ(headerError("entry=bb0", "entry=bb0x"),
+              "line 2: expected a decimal number in 'entry=bb0x'");
+    EXPECT_EQ(headerError("entry=bb0", "entry=bb"),
+              "line 2: expected a decimal number in 'entry=bb'");
+    EXPECT_EQ(headerError("entry=bb0", "entry=bb+0"),
+              "line 2: expected a decimal number in 'entry=bb+0'");
+}
+
+TEST(Parser, BlockHeaderMustBeADecimalBlockId)
+{
+    EXPECT_EQ(headerError("block bb2 weight", "block bb2x weight"),
+              "line 7: expected a decimal number in 'bb2x'");
+    EXPECT_EQ(headerError("block bb2 weight", "block bb weight"),
+              "line 7: expected a decimal number in 'bb'");
+    EXPECT_EQ(headerError("block bb2 weight", "block bb-2 weight"),
+              "line 7: expected a decimal number in 'bb-2'");
+}
+
+TEST(Parser, GprsMustBeADecimalCount)
+{
+    EXPECT_EQ(headerError("gprs=16", "gprs=1x0"),
+              "line 2: expected a decimal number in 'gprs=1x0'");
+    EXPECT_EQ(headerError("gprs=16", "gprs="),
+              "line 2: expected a decimal number in 'gprs='");
+    EXPECT_EQ(headerError("gprs=16", "gprs=-1"),
+              "line 2: expected a decimal number in 'gprs=-1'");
+    // Counts past 2^32 - 1 used to wrap: gprs=4294967312 was 16.
+    EXPECT_EQ(headerError("gprs=16", "gprs=4294967312"),
+              "line 2: 'gprs=4294967312' is out of range");
+}
+
+TEST(Parser, PredsMustBeADecimalCount)
+{
+    EXPECT_EQ(headerError("preds=4", "preds=4p"),
+              "line 2: expected a decimal number in 'preds=4p'");
+    EXPECT_EQ(headerError("preds=4", "preds= 4"),
+              "line 2: expected a decimal number in 'preds='");
+    EXPECT_EQ(headerError("preds=4", "preds=99999999999999999999999"),
+              "line 2: 'preds=99999999999999999999999' is out of range");
+}
+
+TEST(Parser, MemMustBeADecimalWordCount)
+{
+    EXPECT_EQ(headerError("mem=1024", "mem=1k"),
+              "line 1: expected a decimal number in 'mem=1k'");
+    EXPECT_EQ(headerError("mem=1024", "mem=0x400"),
+              "line 1: expected a decimal number in 'mem=0x400'");
+
+    // Whole tokens still parse, and weights keep strtod's reading.
+    std::string error;
+    auto mod = parseModule("module m mem=0300\n"
+                           "func @f entry=bb00 gprs=01 preds=0 {\n"
+                           "  block bb0 weight=1.5e1x {\n"
+                           "    RET 0\n  }\n}\n",
+                           &error);
+    ASSERT_NE(mod, nullptr) << error;
+    EXPECT_EQ(mod->memWords(), 300u);
+    EXPECT_EQ(mod->function("f").numGprs(), 1u);
+    EXPECT_EQ(mod->function("f").block(0).weight(), 15.0);
+}
+
 TEST(Parser, RejectsBranchToUndefinedBlock)
 {
     std::string error;

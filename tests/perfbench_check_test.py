@@ -12,7 +12,9 @@ import copy
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import unittest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -98,6 +100,25 @@ class TimingGate(unittest.TestCase):
         self.assertEqual(gate(want, zero, "sweep"), [])
         self.assertEqual(gate(zero, scaled(want, 9.0, {"region.stats_us"}),
                               "sweep"), [])
+
+
+class Invocation(unittest.TestCase):
+    def test_runs_from_outside_the_checkout(self):
+        # The history and the bounds come from the script's checkout,
+        # the result file from the caller's directory.
+        entry = perfbench_check.baseline(HISTORY, "validate", 1, 0)
+        with tempfile.TemporaryDirectory() as work:
+            with open(os.path.join(work, "result.json"), "w") as f:
+                json.dump(entry["run"], f)
+            done = subprocess.run(
+                [sys.executable,
+                 os.path.join(ROOT, "scripts", "perfbench_check.py"),
+                 "result.json", "--workload", "validate", "--seed", "1",
+                 "--trace", "0"],
+                cwd=work, capture_output=True, text=True)
+        self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
+        self.assertIn("perfbench_check: validate seed=1 trace=0",
+                      done.stdout)
 
 
 if __name__ == "__main__":

@@ -766,8 +766,7 @@ TEST_F(ServiceEndToEnd, RegisterPastTheDeclaredCountIsAnError)
     replaceAll(past.module_text, "r4 = ADD r3, r1\n",
                "r4 = ADD r248, r1\n");
     Request undeclared = compileRequest();
-    replaceAll(undeclared.module_text, "entry=bb0 gprs=16",
-               "entry=bbrs=16");
+    replaceAll(undeclared.module_text, "entry=bb0 gprs=16", "entry=bb0");
     for (const auto &[req, reg] :
          {std::pair{past, "source r248"},
           std::pair{undeclared, "destination r0"}}) {

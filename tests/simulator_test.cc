@@ -121,6 +121,160 @@ TEST(Interpreter, OpLimitAborts)
     const auto result = runSequential(fn, std::vector<int64_t>(8, 0),
                                       options);
     EXPECT_FALSE(result.completed);
+    // Each block runs a body op and a terminator: the 501st block's
+    // body op is the 1001st op, counted but not executed.
+    EXPECT_EQ(result.halt, Halt::OpLimit);
+    EXPECT_EQ(result.ops_executed, 1001u);
+    ASSERT_EQ(result.trace.size(), 501u);
+    EXPECT_EQ(result.trace.front(), a);
+    EXPECT_EQ(result.trace[1], b);
+    EXPECT_EQ(result.trace.back(), a);
+}
+
+TEST(Interpreter, OpLimitStopsInsideABlock)
+{
+    // Three stores in one block: the limit lets the first two run.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    const Reg base = bu.movi(0);
+    bu.store(base, 1, Builder::I(7));
+    bu.store(base, 2, Builder::I(8));
+    bu.ret(Builder::I(0));
+
+    for (const uint64_t limit : {0, 1, 2}) {
+        InterpOptions options;
+        options.max_ops = limit;
+        const ExecResult result =
+            runSequential(fn, std::vector<int64_t>(8, 0), options);
+        EXPECT_FALSE(result.completed) << limit;
+        EXPECT_EQ(result.halt, Halt::OpLimit) << limit;
+        EXPECT_EQ(result.ops_executed, limit + 1) << limit;
+        EXPECT_EQ(result.memory[1], limit >= 2 ? 7 : 0) << limit;
+        EXPECT_EQ(result.memory[2], 0) << limit;
+        EXPECT_EQ(result.trace, (std::vector<BlockId>{a})) << limit;
+    }
+    // The terminator is never checked: at limit 3 all four ops run.
+    InterpOptions options;
+    options.max_ops = 3;
+    const ExecResult done =
+        runSequential(fn, std::vector<int64_t>(8, 0), options);
+    EXPECT_TRUE(done.completed);
+    EXPECT_EQ(done.ops_executed, 4u);
+    EXPECT_EQ(done.memory[2], 8);
+}
+
+TEST(Interpreter, BodilessCycleHaltsAtTheOpLimit)
+{
+    // Two blocks that only branch to each other change nothing, so
+    // the run can never reach a body op to stop on; it used to spin
+    // forever.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    const BlockId b = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    bu.bru(b);
+    bu.setInsertPoint(b);
+    bu.bru(a);
+
+    InterpOptions options;
+    options.max_ops = 1000;
+    const ExecResult result =
+        runSequential(fn, std::vector<int64_t>(8, 0), options);
+    EXPECT_FALSE(result.completed);
+    EXPECT_EQ(result.halt, Halt::OpLimit);
+    EXPECT_GT(result.ops_executed, options.max_ops);
+}
+
+TEST(Interpreter, MwbrWithNoMatchingCaseHalts)
+{
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    const BlockId c0 = bu.newBlock();
+    const BlockId c1 = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    const Reg base = bu.movi(0);
+    bu.store(base, 3, Builder::I(5));
+    bu.mwbr(bu.movi(7), {c0, c1});
+    for (const BlockId c : {c0, c1}) {
+        bu.setInsertPoint(c);
+        bu.ret(Builder::I(0));
+    }
+
+    const ExecResult result = runSequential(fn, std::vector<int64_t>(8, 0));
+    EXPECT_FALSE(result.completed);
+    EXPECT_EQ(result.halt, Halt::NoMwbrCase);
+    EXPECT_EQ(result.ops_executed, 4u);  // three body ops and the MWBR
+    EXPECT_EQ(result.trace, (std::vector<BlockId>{a}));
+    EXPECT_EQ(result.memory[3], 5);
+    EXPECT_EQ(result.wrapped_stores, 0u);
+}
+
+TEST(Interpreter, CountsWrappedStoresOnly)
+{
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId a = bu.newBlock();
+    fn.setEntry(a);
+    bu.setInsertPoint(a);
+    const Reg base = bu.movi(0);
+    bu.store(base, 9, Builder::I(4));   // wraps to word 1
+    bu.store(base, -2, Builder::I(6));  // wraps to word 6
+    bu.store(base, 3, Builder::I(1));   // in range
+    const Reg loaded = bu.load(base, 12);  // a wrapped load: word 4
+    bu.ret(Builder::R(loaded));
+
+    std::vector<int64_t> mem(8, 0);
+    mem[4] = 42;
+    const ExecResult result = runSequential(fn, mem);
+    ASSERT_TRUE(result.completed);
+    EXPECT_EQ(result.ret_value, 42);
+    EXPECT_EQ(result.wrapped_stores, 2u);
+    EXPECT_EQ(result.memory,
+              (std::vector<int64_t>{0, 4, 0, 1, 42, 0, 6, 0}));
+}
+
+TEST(Interpreter, TraceListsBlocksInEntryOrder)
+{
+    // A loop over mem[0] iterations: bb0, then (bb1 bb2) per trip,
+    // then bb1 and the exit.
+    Function fn("f");
+    Builder bu(fn);
+    const BlockId entry = bu.newBlock();
+    const BlockId head = bu.newBlock();
+    const BlockId body = bu.newBlock();
+    const BlockId exit = bu.newBlock();
+    fn.setEntry(entry);
+    bu.setInsertPoint(entry);
+    const Reg base = bu.movi(0);
+    const Reg trips = bu.load(base, 0);
+    const Reg i = bu.movi(0);
+    bu.bru(head);
+    bu.setInsertPoint(head);
+    bu.condBr(CmpKind::LT, Builder::R(i), Builder::R(trips), body, exit);
+    bu.setInsertPoint(body);
+    fn.appendOp(body, ir::makeBinary(Opcode::ADD, i, Builder::R(i),
+                                     Builder::I(1)));
+    bu.bru(head);
+    bu.setInsertPoint(exit);
+    bu.ret(Builder::R(i));
+
+    std::vector<int64_t> mem(8, 0);
+    mem[0] = 2;
+    const ExecResult result = runSequential(fn, mem);
+    ASSERT_TRUE(result.completed);
+    EXPECT_EQ(result.ret_value, 2);
+    EXPECT_EQ(result.trace, (std::vector<BlockId>{entry, head, body, head,
+                                                  body, head, exit}));
+    // Body ops 3 + 1 + 1 + 1 + 1 + 1 (the compares and adds), and a
+    // terminator per block entered.
+    EXPECT_EQ(result.ops_executed, 8u + result.trace.size());
 }
 
 TEST(Equivalence, NamesWhySequentialRunsStopped)
